@@ -60,7 +60,7 @@ test:
 # fan-out, rate-extrapolating clocks, and the pooled record paths hammer
 # shared state.
 test-race:
-	$(GO) test -race ./internal/exs ./internal/ism ./internal/relay ./internal/faultnet ./internal/wire ./internal/metrics ./internal/ols ./internal/cre ./internal/record ./internal/shm ./internal/scenario ./internal/subscribe ./internal/workload ./internal/clocksync ./internal/vclock
+	$(GO) test -race ./internal/exs ./internal/uplink ./internal/ism ./internal/relay ./internal/faultnet ./internal/wire ./internal/metrics ./internal/ols ./internal/cre ./internal/record ./internal/shm ./internal/scenario ./internal/subscribe ./internal/workload ./internal/clocksync ./internal/vclock
 
 # Full suite under the race detector (slower).
 race:

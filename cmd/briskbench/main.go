@@ -207,7 +207,7 @@ func runClockSync(args []string) error {
 
 func runIntrusion(args []string) error {
 	fs := flag.NewFlagSet("intrusion", flag.ExitOnError)
-	iters := fs.Int("iters", 2_000_000, "work iterations per density")
+	iters := fs.Int("iters", 2_000_000, "work iterations per timed pass")
 	fs.Parse(args)
 	rows, err := bench.RunIntrusion(*iters)
 	if err != nil {

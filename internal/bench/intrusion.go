@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"math"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -43,24 +45,43 @@ func work(x uint64) uint64 {
 // without it the uninstrumented baseline measures an empty loop.
 var benchSink uint64
 
+// intrusionPasses is how many uninstrumented and instrumented passes each
+// density alternates; the row compares the fastest of each.
+const intrusionPasses = 3
+
+// timePass runs pass over iters iterations and returns its cost per
+// iteration in nanoseconds of the running thread's CPU time. The pass is
+// locked to its thread, so the pipeline's goroutines and other processes
+// that preempt it on a busy machine are not charged to the computation.
+func timePass(iters int, pass func(iters int) uint64) float64 {
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	start := threadClock()
+	benchSink += pass(iters)
+	return float64(threadClock()-start) / float64(iters)
+}
+
 // RunIntrusion measures instrumentation overhead at several densities.
+// Each density alternates uninstrumented and instrumented passes of the
+// same computation while its pipeline runs and compares the fastest of
+// each, so the row reads what instrumentation costs the computation's own
+// thread rather than how busy the rest of the machine was.
 func RunIntrusion(iters int) ([]IntrusionRow, error) {
 	if iters <= 0 {
 		iters = 2_000_000
 	}
-	// Baseline: no instrumentation at all.
-	var sink uint64
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		sink = work(sink + uint64(i))
+	baseline := func(n int) uint64 {
+		var sink uint64
+		for i := 0; i < n; i++ {
+			sink = work(sink + uint64(i))
+		}
+		return sink
 	}
-	baseNanos := float64(time.Since(start).Nanoseconds()) / float64(iters)
-	benchSink += sink
 
 	// Standalone notice cost for the prediction column.
 	noticeNanos := RunNoticeCost(iters / 4).SpecializedNanos
 
-	rows := []IntrusionRow{{NoticeEveryK: 0, NanosPerIter: baseNanos}}
+	rows := []IntrusionRow{{NoticeEveryK: 0, NanosPerIter: math.Inf(1)}}
 	for _, k := range []int{100, 10, 1} {
 		mgr, err := brisk.StartManager(brisk.ManagerOptions{
 			MergeInterval: time.Millisecond,
@@ -80,18 +101,24 @@ func RunIntrusion(iters int) ([]IntrusionRow, error) {
 			return nil, err
 		}
 		s := node.NewSensor("intr", brisk.SensorOptions{RingBytes: 1 << 22})
-		var x uint64
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			x = work(x + uint64(i))
-			if i%k == 0 {
-				s.Notice2i(1, int32(i), int32(x))
+		instrumented := func(n int) uint64 {
+			var x uint64
+			for i := 0; i < n; i++ {
+				x = work(x + uint64(i))
+				if i%k == 0 {
+					s.Notice2i(1, int32(i), int32(x))
+				}
 			}
+			return x
 		}
-		nanos := float64(time.Since(start).Nanoseconds()) / float64(iters)
-		benchSink += x
+		baseNanos, nanos := math.Inf(1), math.Inf(1)
+		for p := 0; p < intrusionPasses; p++ {
+			baseNanos = math.Min(baseNanos, timePass(iters, baseline))
+			nanos = math.Min(nanos, timePass(iters, instrumented))
+		}
 		node.Close()
 		mgr.Close()
+		rows[0].NanosPerIter = math.Min(rows[0].NanosPerIter, baseNanos)
 		rows = append(rows, IntrusionRow{
 			NoticeEveryK: k,
 			NanosPerIter: nanos,

@@ -2,6 +2,7 @@ package exs
 
 import (
 	"context"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -103,27 +104,40 @@ func (f *fakeISM) Close() {
 	f.wg.Wait()
 }
 
-func fixedRand(v float64) func() float64 { return func() float64 { return v } }
+// pinnedRand is a jitter source a test can pin to any value between draws.
+type pinnedRand struct{ bits atomic.Uint64 }
 
-// TestBackoffDelaySchedule verifies the exponential schedule and its cap
-// with jitter disabled.
+func (p *pinnedRand) set(v float64) { p.bits.Store(math.Float64bits(v)) }
+func (p *pinnedRand) draw() float64 { return math.Float64frombits(p.bits.Load()) }
+
+// TestBackoffDelaySchedule verifies the sensor's reconnect schedule: its
+// Config's base and cap reach the shared uplink, which doubles from the
+// base up to the cap. rnd=0.5 makes the jitter factor exactly 1.
 func TestBackoffDelaySchedule(t *testing.T) {
-	const base = 10 * time.Millisecond
-	const max = 80 * time.Millisecond
+	f := newFakeISM(t, true)
+	const base, max = 10 * time.Millisecond, 80 * time.Millisecond
+	e, _ := dialFake(t, f, func(c *Config) {
+		c.ReconnectBase, c.ReconnectMax = base, max
+		c.ReconnectRand = func() float64 { return 0.5 }
+	})
 	want := []time.Duration{10, 20, 40, 80, 80, 80}
 	for attempt, w := range want {
-		got := backoffDelay(attempt, base, max, 0, fixedRand(0))
-		if got != w*time.Millisecond {
+		if got := e.up.Backoff(attempt); got != w*time.Millisecond {
 			t.Errorf("attempt %d: delay = %v, want %v", attempt, got, w*time.Millisecond)
 		}
 	}
 }
 
-// TestBackoffDelayJitterBounds verifies the ±jitter fraction holds at the
-// extremes of the random source and in between.
+// TestBackoffDelayJitterBounds verifies the sensor's schedule keeps the
+// ±20% jitter band at the extremes of its random source and in between.
 func TestBackoffDelayJitterBounds(t *testing.T) {
+	f := newFakeISM(t, true)
 	const base = 100 * time.Millisecond
-	const jitter = 0.2
+	var rnd pinnedRand
+	e, _ := dialFake(t, f, func(c *Config) {
+		c.ReconnectBase, c.ReconnectMax = base, 10*time.Second
+		c.ReconnectRand = rnd.draw
+	})
 	cases := []struct {
 		rnd  float64
 		want time.Duration
@@ -133,97 +147,20 @@ func TestBackoffDelayJitterBounds(t *testing.T) {
 		{1, 120 * time.Millisecond},   // 1 + 0.2*(+1)
 	}
 	for _, c := range cases {
-		got := backoffDelay(0, base, time.Second, jitter, fixedRand(c.rnd))
-		if got != c.want {
+		rnd.set(c.rnd)
+		if got := e.up.Backoff(0); got != c.want {
 			t.Errorf("rnd=%v: delay = %v, want %v", c.rnd, got, c.want)
 		}
 	}
 	// Any rnd value must land inside the band.
-	for _, rnd := range []float64{0.1, 0.25, 0.33, 0.7, 0.99} {
-		got := backoffDelay(3, base, 10*time.Second, jitter, fixedRand(rnd))
-		lo := time.Duration(float64(8*base) * (1 - jitter))
-		hi := time.Duration(float64(8*base) * (1 + jitter))
+	for _, v := range []float64{0.1, 0.25, 0.33, 0.7, 0.99} {
+		rnd.set(v)
+		got := e.up.Backoff(3)
+		lo := time.Duration(float64(8*base) * 0.8)
+		hi := time.Duration(float64(8*base) * 1.2)
 		if got < lo || got > hi {
-			t.Errorf("rnd=%v: delay %v outside [%v, %v]", rnd, got, lo, hi)
+			t.Errorf("rnd=%v: delay %v outside [%v, %v]", v, got, lo, hi)
 		}
-	}
-}
-
-// TestBackoffDelayFloor verifies sub-millisecond results are clamped, so
-// a zero base cannot spin-dial.
-func TestBackoffDelayFloor(t *testing.T) {
-	if got := backoffDelay(0, 1, time.Second, 0, fixedRand(0)); got < time.Millisecond {
-		t.Fatalf("delay = %v, want >= 1ms", got)
-	}
-}
-
-// TestEnqueueDropOldestAccounting exercises the spill bound directly: the
-// queue keeps the newest batches, evicts from the front, and counts every
-// dropped record.
-func TestEnqueueDropOldestAccounting(t *testing.T) {
-	e := &EXS{cfg: Config{SpillBytes: 100}}
-	e.registerMetrics(nil)
-	e.state.Store(stateReconnecting)
-
-	payload := make([]byte, 40)
-	for i := 0; i < 5; i++ { // 200 bytes total against a 100-byte budget
-		e.enqueue(payload, 3)
-	}
-	st := struct {
-		dropped uint64
-		spilled uint64
-	}{e.dropped.Value(), e.spilled.Value()}
-	e.qMu.Lock()
-	n := len(e.queue)
-	bytes := e.qBytes
-	firstSeq := e.queue[0].seq
-	lastSeq := e.queue[n-1].seq
-	e.qMu.Unlock()
-
-	if bytes > 100 {
-		t.Fatalf("queue holds %d bytes, budget 100", bytes)
-	}
-	if n != 2 || firstSeq != 4 || lastSeq != 5 {
-		t.Fatalf("queue = %d entries, seqs [%d..%d]; want the 2 newest (4..5)", n, firstSeq, lastSeq)
-	}
-	if st.dropped != 9 { // 3 evicted batches × 3 records
-		t.Fatalf("Dropped = %d, want 9", st.dropped)
-	}
-	if st.spilled != 15 { // all 5 batches enqueued while offline
-		t.Fatalf("Spilled = %d, want 15", st.spilled)
-	}
-}
-
-// TestEnqueueKeepsOversizedBatch verifies a single batch larger than the
-// whole budget is still retained (the bound drops oldest, never newest).
-func TestEnqueueKeepsOversizedBatch(t *testing.T) {
-	e := &EXS{cfg: Config{SpillBytes: 10}}
-	e.registerMetrics(nil)
-	e.state.Store(stateReconnecting)
-	e.enqueue(make([]byte, 50), 2)
-	e.qMu.Lock()
-	defer e.qMu.Unlock()
-	if len(e.queue) != 1 || e.dropped.Value() != 0 {
-		t.Fatalf("oversized batch evicted: queue=%d dropped=%d", len(e.queue), e.dropped.Value())
-	}
-}
-
-// TestAckToReleasesPrefix verifies cumulative acknowledgement frees
-// exactly the acked prefix.
-func TestAckToReleasesPrefix(t *testing.T) {
-	e := &EXS{cfg: Config{SpillBytes: 1 << 20}}
-	e.registerMetrics(nil)
-	for i := 0; i < 4; i++ {
-		e.enqueue(make([]byte, 8), 1)
-	}
-	e.ackTo(2)
-	e.qMu.Lock()
-	defer e.qMu.Unlock()
-	if len(e.queue) != 2 || e.queue[0].seq != 3 {
-		t.Fatalf("after ackTo(2): %d entries, head seq %d", len(e.queue), e.queue[0].seq)
-	}
-	if e.qBytes != 16 {
-		t.Fatalf("qBytes = %d, want 16", e.qBytes)
 	}
 }
 
@@ -403,179 +340,6 @@ func TestDialContextCancelAbortsBackoff(t *testing.T) {
 	}
 }
 
-// TestReplayAbortRetransmitsWrittenPrefix is the regression test for the
-// silent-loss hole where a redial's replay pump dies mid-pass: batches it
-// had already written into the doomed socket stayed flagged sent, the
-// next replay skipped them, and the manager's cumulative ack for a later
-// sequence (gaps are legal — eviction creates them) released them without
-// delivery. The fake manager here never acks on the first connection,
-// accepts the resume on the second and immediately resets it mid-replay,
-// then behaves on the third — which must receive every sequence.
-func TestReplayAbortRetransmitsWrittenPrefix(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	// Enough queued bytes that the second connection's replay overflows
-	// the loopback socket buffers (the kernel autotunes the send buffer
-	// up to ~4 MiB) and blocks mid-pass: ~330 batches of ~16 KiB
-	// (batchRecords records of 24 bytes each) ≈ 5.4 MiB.
-	const conn1Batches = 330
-	const batchRecords = 680
-
-	var mu sync.Mutex
-	seqs := make(map[int][]uint64) // connection ordinal → batch seqs received
-	conn1Done := make(chan struct{})
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for n := 1; ; n++ {
-			raw, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			wc := wire.NewConn(raw)
-			msg, err := wc.Recv()
-			if err != nil {
-				raw.Close()
-				continue
-			}
-			hello, ok := msg.(*wire.Hello)
-			if !ok {
-				raw.Close()
-				continue
-			}
-			ack := &wire.HelloAck{Node: 1, Resumed: hello.Resume}
-			if wc.Send(ack) != nil {
-				raw.Close()
-				continue
-			}
-			if n == 2 {
-				// Read nothing: the replay pump fills the socket buffers,
-				// marks those batches sent, and blocks. Then reset the
-				// link so the blocked write fails partway through the
-				// replay pass.
-				time.Sleep(50 * time.Millisecond)
-				if tc, ok := raw.(*net.TCPConn); ok {
-					tc.SetLinger(0)
-				}
-				raw.Close()
-				continue
-			}
-			conn := n
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer raw.Close()
-				for {
-					msg, err := wc.Recv()
-					if err != nil {
-						return
-					}
-					b, ok := msg.(*wire.DataBatch)
-					if !ok {
-						continue
-					}
-					mu.Lock()
-					seqs[conn] = append(seqs[conn], b.Seq)
-					got := len(seqs[conn])
-					mu.Unlock()
-					if conn == 1 {
-						// Never ack; once the queue holds well over a
-						// socket buffer's worth of unacked batches, cut.
-						if got == conn1Batches {
-							if tc, ok := raw.(*net.TCPConn); ok {
-								tc.SetLinger(0)
-							}
-							raw.Close()
-							close(conn1Done)
-							return
-						}
-						continue
-					}
-					if wc.Send(&wire.DataAck{Seq: b.Seq}) != nil {
-						return
-					}
-				}
-			}()
-			if conn >= 3 {
-				return // accept loop done; connection 3 is the keeper
-			}
-		}
-	}()
-
-	region := shm.NewRegion()
-	cfg := Config{
-		ManagerAddr:   ln.Addr().String(),
-		NodeName:      "t",
-		Region:        region,
-		FlushInterval: time.Millisecond,
-		PollInterval:  200 * time.Microsecond,
-		ReconnectBase: 2 * time.Millisecond,
-		ReconnectMax:  10 * time.Millisecond,
-		SpillBytes:    16 << 20, // hold the whole backlog; no eviction
-		Logf:          func(string, ...any) {},
-	}
-	e, err := Dial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	s := sensor.New(region, "app", sensor.Options{})
-
-	// Ship the backlog one batch at a time (paced on the fake's receive
-	// count so the ring never overruns); the fake cuts after the last.
-	for i := 0; i < conn1Batches; i++ {
-		for j := 0; j < batchRecords; j++ {
-			s.Notice2i(1, int32(i), int32(j))
-		}
-		e.Flush()
-		waitFor(t, 5*time.Second, func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return len(seqs[1]) >= i+1
-		})
-	}
-	<-conn1Done
-
-	// The sensor must reconnect (twice: the mid-replay reset, then the
-	// good connection) and drain its whole queue.
-	waitFor(t, 10*time.Second, func() bool {
-		e.qMu.Lock()
-		empty := len(e.queue) == 0
-		e.qMu.Unlock()
-		return e.Stats().Online && empty
-	})
-
-	st := e.Stats()
-	if st.Dropped != 0 {
-		t.Fatalf("Dropped = %d, want 0", st.Dropped)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	var maxSeq uint64
-	for _, batch := range seqs {
-		for _, q := range batch {
-			if q > maxSeq {
-				maxSeq = q
-			}
-		}
-	}
-	got := make(map[uint64]bool, len(seqs[3]))
-	for _, q := range seqs[3] {
-		got[q] = true
-	}
-	for q := uint64(1); q <= maxSeq; q++ {
-		if !got[q] {
-			t.Errorf("seq %d never delivered on the surviving connection (conn3 saw %v)", q, seqs[3])
-		}
-	}
-}
-
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -600,7 +364,6 @@ func TestReconnectRandInjectable(t *testing.T) {
 	e, _ := dialFake(t, f, func(c *Config) {
 		c.ReconnectBase = base
 		c.ReconnectMax = max
-		c.ReconnectJitter = 0.2
 		c.MaxReconnectAttempts = 2
 		// rnd=0.5 makes the jitter factor exactly 1, so the schedule is
 		// the pure exponential — byte-exact assertions below.
@@ -608,7 +371,7 @@ func TestReconnectRandInjectable(t *testing.T) {
 	})
 	want := []time.Duration{base, 2 * base, 4 * base, max, max}
 	for attempt, w := range want {
-		if got := e.nextReconnectDelay(attempt); got != w {
+		if got := e.up.Backoff(attempt); got != w {
 			t.Errorf("attempt %d: delay = %v, want %v (injected source must pin the schedule)", attempt, got, w)
 		}
 	}
@@ -616,7 +379,7 @@ func TestReconnectRandInjectable(t *testing.T) {
 
 	// A real outage must draw its backoff jitter from the same source.
 	f.Close()
-	waitFor(t, 10*time.Second, func() bool { return e.state.Load() == stateDead })
+	waitFor(t, 10*time.Second, e.up.Dead)
 	if calls.Load() <= probes {
 		t.Fatal("outage reconnect schedule did not draw from the injected jitter source")
 	}

@@ -1,39 +1,62 @@
 package relay
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestBackoffDeterministicWithInjectedRand pins the uplink's backoff
-// schedule byte-exactly through an injected jitter source — the
+// liveRelay starts a relay under a live root with the given backoff
+// shape and jitter source; the uplink stays online, so only the test
+// draws from the source.
+func liveRelay(t *testing.T, base, max time.Duration, rnd func() float64) *Relay {
+	t.Helper()
+	root := newRoot(t, nil)
+	t.Cleanup(func() { root.Close() })
+	rl, err := New(Config{
+		Addr:          "127.0.0.1:0",
+		Parent:        root.Addr(),
+		ISM:           testISM(),
+		ReconnectBase: base,
+		ReconnectMax:  max,
+		ReconnectRand: rnd,
+		Logf:          quietLog,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rl.Close() })
+	return rl
+}
+
+// TestBackoffDeterministicWithInjectedRand pins the relay uplink's
+// backoff schedule byte-exactly through an injected jitter source — the
 // regression test for the untestable wall-clock-seeded RNG. rnd=0.5
 // makes the ±20% jitter factor exactly 1, leaving the pure exponential.
 func TestBackoffDeterministicWithInjectedRand(t *testing.T) {
 	const base, max = 10 * time.Millisecond, 80 * time.Millisecond
-	r := &Relay{
-		cfg:        Config{ReconnectBase: base, ReconnectMax: max},
-		jitterRand: func() float64 { return 0.5 },
-	}
+	r := liveRelay(t, base, max, func() float64 { return 0.5 })
 	want := []time.Duration{base, 2 * base, 4 * base, max, max, max}
 	for attempt, w := range want {
-		if got := r.backoffDelay(attempt); got != w {
+		if got := r.up.Backoff(attempt); got != w {
 			t.Errorf("attempt %d: delay = %v, want %v", attempt, got, w)
 		}
 	}
 	// Two walks of the same schedule must agree exactly.
 	for attempt := range want {
-		if a, b := r.backoffDelay(attempt), r.backoffDelay(attempt); a != b {
+		if a, b := r.up.Backoff(attempt), r.up.Backoff(attempt); a != b {
 			t.Fatalf("attempt %d: schedule not deterministic (%v vs %v)", attempt, a, b)
 		}
 	}
 }
 
-// TestBackoffJitterBounds covers the jitter band at the extremes of the
-// random source: the factor is 1±0.2, and the floor clamps at 1ms.
+// TestBackoffJitterBounds covers the relay's jitter band at the extremes
+// of the random source: the factor is 1±0.2, and the floor clamps at 1ms.
 func TestBackoffJitterBounds(t *testing.T) {
 	const base = 100 * time.Millisecond
+	var bits atomic.Uint64
+	r := liveRelay(t, base, time.Second, func() float64 { return math.Float64frombits(bits.Load()) })
 	for _, tc := range []struct {
 		rnd  float64
 		want time.Duration
@@ -42,19 +65,13 @@ func TestBackoffJitterBounds(t *testing.T) {
 		{0.5, 100 * time.Millisecond},
 		{1, 120 * time.Millisecond},
 	} {
-		r := &Relay{
-			cfg:        Config{ReconnectBase: base, ReconnectMax: time.Second},
-			jitterRand: func() float64 { return tc.rnd },
-		}
-		if got := r.backoffDelay(0); got != tc.want {
+		bits.Store(math.Float64bits(tc.rnd))
+		if got := r.up.Backoff(0); got != tc.want {
 			t.Errorf("rnd=%v: delay = %v, want %v", tc.rnd, got, tc.want)
 		}
 	}
-	floor := &Relay{
-		cfg:        Config{ReconnectBase: 1, ReconnectMax: time.Second},
-		jitterRand: func() float64 { return 0 },
-	}
-	if got := floor.backoffDelay(0); got < time.Millisecond {
+	floor := liveRelay(t, 1, time.Second, func() float64 { return 0 })
+	if got := floor.up.Backoff(0); got < time.Millisecond {
 		t.Fatalf("delay = %v, want the 1ms floor", got)
 	}
 }

@@ -100,7 +100,9 @@ func TestLossMarkerAggregationAcrossTiers(t *testing.T) {
 	const phaseEvents = 2500
 	drive := func(phase int) {
 		for i, l := range leaves {
-			lp := &workload.Looper{Sensor: l.sensor, Event: uint8(10 + i)}
+			// The looper numbers every run from 0, so each phase stamps
+			// its own event classes to keep (node, event, seq) unique.
+			lp := &workload.Looper{Sensor: l.sensor, Event: uint8(10 + nLeaves*phase + i)}
 			got := lp.Run(phaseEvents)
 			if got != phaseEvents {
 				t.Fatalf("phase %d leaf %d: ring accepted %d of %d (size the ring up)", phase, i, got, phaseEvents)

@@ -472,13 +472,13 @@ func TestTallyPrefixed(t *testing.T) {
 	}
 }
 
-// TestBackoffDelayBounds pins the retry schedule's envelope.
+// TestBackoffDelayBounds pins the relay uplink's retry schedule envelope.
 func TestBackoffDelayBounds(t *testing.T) {
-	r := &Relay{cfg: Config{ReconnectBase: 10 * time.Millisecond, ReconnectMax: 80 * time.Millisecond}}
-	r.jitterRand = mrand.New(mrand.NewSource(1)).Float64
+	const max = 80 * time.Millisecond
+	r := liveRelay(t, 10*time.Millisecond, max, mrand.New(mrand.NewSource(1)).Float64)
 	for attempt := 0; attempt < 10; attempt++ {
-		d := r.backoffDelay(attempt)
-		if d < time.Millisecond || d > time.Duration(1.2*float64(80*time.Millisecond)) {
+		d := r.up.Backoff(attempt)
+		if d < time.Millisecond || d > time.Duration(1.2*float64(max)) {
 			t.Fatalf("attempt %d: delay %v outside envelope", attempt, d)
 		}
 	}
