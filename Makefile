@@ -73,20 +73,19 @@ bench:
 # Performance-regression gate: the zero-allocation contracts (exact, via
 # testing.AllocsPerRun), the short ingest benchmark compared against the
 # committed baseline — fails on >BENCH_MAXLOSS fractional throughput loss
-# or on any real allocs-per-record growth — and the sorter-stage matrix
-# over cores {calendar, heap} × shards {1, 4}: the calendar core must
-# scale ≥1.5× at 4 shards and beat the heap core ≥1.3× single-shard
-# (both skipped below 4 CPUs; skipped rows are announced but omitted
-# from the JSON body). Writes the current numbers to BENCH_current.json
-# (gitignored; CI uploads it as an artifact).
+# or on any real allocs-per-record growth — and the sorter stage at
+# shards {1, 4}: it must scale ≥1.5× at 4 shards (skipped below 4 CPUs;
+# the skipped row is announced but omitted from the JSON body). Writes
+# the current numbers to BENCH_current.json (gitignored; CI uploads it as
+# an artifact).
 bench-check:
 	$(GO) test -run 'TestAllocs' ./internal/record ./internal/ols ./internal/picl ./internal/shm ./internal/wire ./internal/clocksync
 	$(GO) run ./cmd/briskbench benchgate -baseline BENCH_baseline.json -out BENCH_current.json -maxloss $(BENCH_MAXLOSS)
 
 # Probe-efficiency gate: the model-based sync scheduler must hit the E6
 # skew bounds at ≥5× fewer probe RTTs than fixed cadence on both the
-# quiet and disturbed LANs (deterministic simulation; skipped below
-# 4 CPUs like the sorter-scaling gate).
+# quiet and disturbed LANs. The simulation is deterministic, so the gate
+# runs on any CPU count.
 sync-gate:
 	$(GO) run ./cmd/briskbench sync -assert-reduction 5
 
@@ -111,7 +110,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzScenarioSpec -fuzztime 10s -run '^$$' ./internal/scenario/
 	$(GO) test -fuzz FuzzFilterExpr -fuzztime 10s -run '^$$' ./internal/subscribe/
 
-# Short fuzzing pass over the decoders.
+# Short fuzzing pass over the decoders and the on-line sorter.
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/record/
 	$(GO) test -fuzz FuzzRecv -fuzztime 30s ./internal/wire/
@@ -120,6 +119,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecoder -fuzztime 30s ./internal/xdr/
 	$(GO) test -fuzz FuzzScenarioSpec -fuzztime 30s ./internal/scenario/
 	$(GO) test -fuzz FuzzFilterExpr -fuzztime 30s ./internal/subscribe/
+	$(GO) test -fuzz FuzzSorter -fuzztime 30s ./internal/ols/
 
 # Regenerate every table of the paper's evaluation.
 eval:

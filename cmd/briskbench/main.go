@@ -13,7 +13,7 @@
 //	briskbench clocksync [-seed 1]
 //	briskbench ols [-seed 1]
 //	briskbench ingest [-sessions 1,8] [-records 150000] [-batch 256] [-json FILE]
-//	briskbench sorter [-cores calendar,heap] [-shards 1,2,4,8] [-sources 8] [-records 100000]
+//	briskbench sorter [-shards 1,2,4,8] [-sources 8] [-records 100000]
 //	briskbench subscribe [-subs 0,64,1024] [-records 150000] [-batch 256]
 //	briskbench sync [-seed 1] [-assert-reduction 5]
 //	briskbench benchgate -baseline BENCH_baseline.json [-out BENCH_current.json]
@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"brisk/internal/bench"
-	"brisk/internal/ols"
 )
 
 func main() {
@@ -98,7 +97,7 @@ experiments:
   clocksync   E6: clock-synchronization quality and convergence
   ols         E7: on-line sorting parameter sweep
   ingest      manager ingest capacity vs session count (bench-check suite)
-  sorter      sorter-stage throughput vs core (calendar/heap) and shard count
+  sorter      sorter-stage throughput vs shard count
   subscribe   ingest capacity with the subscription tap at each idle-subscriber count
   sync        probe efficiency: fixed-cadence vs model-based clock sync (CI sync-gate)
   benchgate   run the ingest suite and fail on regression vs a baseline file
@@ -259,42 +258,17 @@ func runIngest(args []string) error {
 	return nil
 }
 
-// parseCores turns "calendar,heap" into sorter core kinds.
-func parseCores(s string) ([]ols.CoreKind, error) {
-	var out []ols.CoreKind
-	for _, f := range strings.Split(s, ",") {
-		switch strings.TrimSpace(f) {
-		case "":
-		case "calendar":
-			out = append(out, ols.CoreCalendar)
-		case "heap":
-			out = append(out, ols.CoreHeap)
-		default:
-			return nil, fmt.Errorf("bad sorter core %q (want calendar or heap)", f)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no sorter cores in %q", s)
-	}
-	return out, nil
-}
-
 func runSorter(args []string) error {
 	fs := flag.NewFlagSet("sorter", flag.ExitOnError)
-	cores := fs.String("cores", "calendar,heap", "comma-separated sorter cores (calendar, heap)")
 	shards := fs.String("shards", "1,2,4,8", "comma-separated shard counts")
 	sources := fs.Int("sources", 8, "parallel pushing sources")
 	records := fs.Int("records", 100_000, "records per source")
 	fs.Parse(args)
-	kinds, err := parseCores(*cores)
-	if err != nil {
-		return err
-	}
 	counts, err := parseSessionCounts(*shards)
 	if err != nil {
 		return err
 	}
-	rows, err := bench.RunSorterSuite(kinds, counts, *sources, *records)
+	rows, err := bench.RunSorterSuite(counts, *sources, *records)
 	if err != nil {
 		return err
 	}
@@ -331,10 +305,8 @@ func runSubscribe(args []string) error {
 // runSyncEfficiency compares fixed-cadence against model-based probe
 // scheduling on identical simulated clusters and, when -assert-reduction
 // is set, fails unless the model matches fixed-cadence steady-state skew
-// at the required probe-RTT reduction. This is the CI sync-gate. Like
-// the sorter-stage gates, the assertion is skipped on boxes too small to
-// run the gate's companion -race property test meaningfully, so a laptop
-// `make check` and CI behave the same.
+// at the required probe-RTT reduction. This is the CI sync-gate. The
+// simulation is deterministic, so the gate runs on any CPU count.
 func runSyncEfficiency(args []string) error {
 	fs := flag.NewFlagSet("sync", flag.ExitOnError)
 	seed := fs.Uint64("seed", 1, "simulation seed")
@@ -344,10 +316,6 @@ func runSyncEfficiency(args []string) error {
 	results := bench.RunSyncEfficiency(bench.SyncEfficiencyScenarios(*seed))
 	bench.SyncEfficiencyTable(results).Render(os.Stdout)
 	if *assert <= 0 {
-		return nil
-	}
-	if procs := runtime.GOMAXPROCS(0); procs < 4 {
-		fmt.Printf("sync: SKIP probe-reduction gate (GOMAXPROCS=%d < 4)\n", procs)
 		return nil
 	}
 	var bad []string
@@ -378,7 +346,6 @@ func runBenchGate(args []string) error {
 	batch := fs.Int("batch", 256, "records per data batch")
 	sorterRecords := fs.Int("sorter-records", 100_000, "records per source in the sorter-stage sweep")
 	shardRatio := fs.Float64("shardratio", 1.5, "required sorter-stage speedup of 4 shards over 1 (skipped below 4 CPUs)")
-	coreRatio := fs.Float64("coreratio", 1.3, "required single-shard speedup of the calendar core over the heap core (skipped below 4 CPUs)")
 	maxLoss := fs.Float64("maxloss", 0.15, "tolerated fractional throughput regression")
 	allocSlack := fs.Float64("allocslack", 0.25, "tolerated extra allocations per record")
 	fs.Parse(args)
@@ -396,32 +363,28 @@ func runBenchGate(args []string) error {
 	}
 	bench.IngestTable(rows).Render(os.Stdout)
 	fmt.Println()
-	// The sorter-stage matrix runs both cores (calendar and heap) at 1 and
-	// 4 shards. The 4-shard configurations need real parallelism to mean
-	// anything: on fewer than 4 CPUs they run 4× SLOWER than one shard, a
-	// number that would poison any cross-box comparison. Below 4 CPUs they
-	// are not run at all — the rendered table carries explicit SKIP rows,
-	// and WriteBenchFile omits those rows from the JSON body entirely so
-	// downstream tooling never sees a `records: 0` configuration.
+	// The sorter-stage sweep runs at 1 and 4 shards. The 4-shard
+	// configuration needs real parallelism to mean anything: on fewer than
+	// 4 CPUs it runs 4× SLOWER than one shard, a number that would poison
+	// any cross-box comparison. Below 4 CPUs it is not run at all — the
+	// rendered table carries an explicit SKIP row, and WriteBenchFile
+	// omits that row from the JSON body entirely so downstream tooling
+	// never sees a `records: 0` configuration.
 	procs := runtime.GOMAXPROCS(0)
-	benchCores := []ols.CoreKind{ols.CoreCalendar, ols.CoreHeap}
 	shardCounts := []int{1, 4}
 	if procs < 4 {
 		shardCounts = []int{1}
 	}
-	srows, err := bench.RunSorterSuite(benchCores, shardCounts, 8, *sorterRecords)
+	srows, err := bench.RunSorterSuite(shardCounts, 8, *sorterRecords)
 	if err != nil {
 		return err
 	}
 	if procs < 4 {
-		for _, core := range benchCores {
-			srows = append(srows, bench.IngestResult{
-				Name:    fmt.Sprintf("sorter/%s/shards=4", core),
-				Shards:  4,
-				Core:    core.String(),
-				Skipped: fmt.Sprintf("GOMAXPROCS=%d < 4: shard scaling not measurable on this box", procs),
-			})
-		}
+		srows = append(srows, bench.IngestResult{
+			Name:    "sorter/shards=4",
+			Shards:  4,
+			Skipped: fmt.Sprintf("GOMAXPROCS=%d < 4: shard scaling not measurable on this box", procs),
+		})
 	}
 	bench.SorterTable(srows).Render(os.Stdout)
 	// The relay-hop row prices federated delivery (leaf→relay→root) at
@@ -449,29 +412,21 @@ func runBenchGate(args []string) error {
 		}
 	}
 	bad := bench.CompareBench(base.Results, rows, *maxLoss, *allocSlack)
-	// The sorter-stage gates are likewise only enforced where the hardware
-	// can express them: shard scaling on the calendar (production) core,
-	// and the calendar-over-heap single-shard speedup.
-	byName := make(map[string]bench.IngestResult, len(srows))
-	for _, r := range srows {
-		byName[r.Name] = r
-	}
+	// The shard-scaling gate is likewise only enforced where the hardware
+	// can express it.
 	if procs >= 4 {
-		c1 := byName["sorter/calendar/shards=1"]
-		c4 := byName["sorter/calendar/shards=4"]
-		h1 := byName["sorter/heap/shards=1"]
-		if ratio := c4.RecordsPerSec / c1.RecordsPerSec; ratio < *shardRatio {
-			bad = append(bad, fmt.Sprintf("sorter/calendar/shards=4: ×%.2f over one shard, need ×%.2f", ratio, *shardRatio))
+		byName := make(map[string]bench.IngestResult, len(srows))
+		for _, r := range srows {
+			byName[r.Name] = r
+		}
+		s1, s4 := byName["sorter/shards=1"], byName["sorter/shards=4"]
+		if ratio := s4.RecordsPerSec / s1.RecordsPerSec; ratio < *shardRatio {
+			bad = append(bad, fmt.Sprintf("sorter/shards=4: ×%.2f over one shard, need ×%.2f", ratio, *shardRatio))
 		} else {
 			fmt.Printf("benchgate: sorter-stage scaling ×%.2f at 4 shards (need ×%.2f)\n", ratio, *shardRatio)
 		}
-		if ratio := c1.RecordsPerSec / h1.RecordsPerSec; ratio < *coreRatio {
-			bad = append(bad, fmt.Sprintf("sorter/calendar/shards=1: ×%.2f over the heap core, need ×%.2f", ratio, *coreRatio))
-		} else {
-			fmt.Printf("benchgate: calendar core ×%.2f over heap single-shard (need ×%.2f)\n", ratio, *coreRatio)
-		}
 	} else {
-		fmt.Printf("benchgate: SKIP sorter shard-scaling and core-speedup gates (GOMAXPROCS=%d < 4)\n", procs)
+		fmt.Printf("benchgate: SKIP sorter shard-scaling gate (GOMAXPROCS=%d < 4)\n", procs)
 	}
 	if len(bad) > 0 {
 		for _, b := range bad {

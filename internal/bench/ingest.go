@@ -25,7 +25,6 @@ type IngestResult struct {
 	Name            string  `json:"name"`
 	Sessions        int     `json:"sessions"`
 	Shards          int     `json:"shards,omitempty"`
-	Core            string  `json:"core,omitempty"`
 	Records         int     `json:"records"`
 	ElapsedMicros   int64   `json:"elapsed_micros"`
 	RecordsPerSec   float64 `json:"records_per_sec"`

@@ -10,15 +10,77 @@ import (
 	"brisk/internal/record"
 )
 
+// sorterStage is the sorter-stage workload: parallel per-source pushers
+// feed pre-built records into a sharded sorter while a single merger
+// loop extracts the k-way-merged output, mirroring the manager's
+// decode-workers/merger split without the wire and decode cost.
+type sorterStage struct {
+	sh     *ols.Sharded
+	protos []record.Record // one reusable record per source
+}
+
+func newSorterStage(shards, sources int) *sorterStage {
+	// Fixed tiny T: every record is past its deadline the moment it
+	// arrives, so the merger is always busy and the measurement is pure
+	// sorter+merge throughput, not window latency.
+	st := &sorterStage{
+		sh:     ols.NewSharded(ols.Config{InitialT: 1, Grow: ols.GrowFixed}, shards),
+		protos: make([]record.Record, sources),
+	}
+	for i := range st.protos {
+		st.protos[i] = record.New(1,
+			record.TSVal(0),
+			record.I32Val(int32(i)), record.I32Val(2), record.I32Val(3),
+			record.I32Val(4), record.I32Val(5), record.I32Val(6))
+	}
+	return st
+}
+
+// run pushes total records, split as evenly as possible across the
+// sources, drains the sorter and returns how many records it emitted.
+func (st *sorterStage) run(total int) int {
+	sources := len(st.protos)
+	var wg sync.WaitGroup
+	for i := 0; i < sources; i++ {
+		n := total / sources
+		if i < total%sources {
+			n++
+		}
+		wg.Add(1)
+		go func(src int32, n int) {
+			defer wg.Done()
+			r := st.protos[src-1]
+			for j := 0; j < n; j++ {
+				// Interleaved globally-unique timestamps, already aged
+				// far past T at push time.
+				ts := int64(j)*int64(sources) + int64(src)
+				r.SetTS(ts)
+				st.sh.Push(src, r, ts+1_000_000)
+			}
+		}(int32(i+1), n)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	emitted := 0
+	emit := func(record.Record) { emitted++ }
+	horizon := int64(total) + int64(sources) + 2_000_000
+	for {
+		select {
+		case <-done:
+			st.sh.Flush(emit)
+			return emitted
+		default:
+			st.sh.Extract(horizon, emit)
+		}
+	}
+}
+
 // RunSorterStage measures the on-line sorter stage in isolation: `sources`
-// parallel pushers feed pre-built records into a sharded sorter while a
-// single merger loop extracts the k-way-merged output, mirroring the
-// manager's decode-workers/merger split without the wire and decode cost.
-// This is the number that should scale with shard count on multi-core
+// parallel pushers of `perSource` records each against one merger. This
+// is the number that should scale with shard count on multi-core
 // machines; the end-to-end ingest benchmark dilutes it with TCP and
-// decode work. The core axis (calendar vs heap) isolates the per-shard
-// data-structure cost on the same workload.
-func RunSorterStage(core ols.CoreKind, shards, sources, perSource int) (IngestResult, error) {
+// decode work.
+func RunSorterStage(shards, sources, perSource int) (IngestResult, error) {
 	if shards <= 0 {
 		shards = 1
 	}
@@ -29,63 +91,22 @@ func RunSorterStage(core ols.CoreKind, shards, sources, perSource int) (IngestRe
 		perSource = 100_000
 	}
 	total := sources * perSource
-
-	// Fixed tiny T: every record is past its deadline the moment it
-	// arrives, so the merger is always busy and the measurement is pure
-	// sorter+merge throughput, not window latency.
-	sh := ols.NewSharded(ols.Config{InitialT: 1, Grow: ols.GrowFixed, Core: core}, shards)
-	protos := make([]record.Record, sources)
-	for i := range protos {
-		protos[i] = record.New(1,
-			record.TSVal(0),
-			record.I32Val(int32(i)), record.I32Val(2), record.I32Val(3),
-			record.I32Val(4), record.I32Val(5), record.I32Val(6))
-	}
+	st := newSorterStage(shards, sources)
 
 	var ms0, ms1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
-	var wg sync.WaitGroup
-	for src := int32(1); src <= int32(sources); src++ {
-		wg.Add(1)
-		go func(src int32) {
-			defer wg.Done()
-			r := protos[src-1]
-			for i := 0; i < perSource; i++ {
-				// Interleaved globally-unique timestamps, already aged
-				// far past T at push time.
-				ts := int64(i)*int64(sources) + int64(src)
-				r.SetTS(ts)
-				sh.Push(src, r, ts+1_000_000)
-			}
-		}(src)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	emitted := 0
-	emit := func(record.Record) { emitted++ }
-	horizon := int64(perSource)*int64(sources) + 2_000_000
-loop:
-	for {
-		select {
-		case <-done:
-			sh.Flush(emit)
-			break loop
-		default:
-			sh.Extract(horizon, emit)
-		}
-	}
+	emitted := st.run(total)
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&ms1)
 	if emitted != total {
 		return IngestResult{}, fmt.Errorf("bench: sorter emitted %d of %d", emitted, total)
 	}
 	return IngestResult{
-		Name:            fmt.Sprintf("sorter/%s/shards=%d", core, shards),
+		Name:            fmt.Sprintf("sorter/shards=%d", shards),
 		Sessions:        sources,
 		Shards:          shards,
-		Core:            core.String(),
 		Records:         total,
 		ElapsedMicros:   elapsed.Microseconds(),
 		RecordsPerSec:   float64(total) / elapsed.Seconds(),
@@ -93,24 +114,18 @@ loop:
 	}, nil
 }
 
-// RunSorterSuite runs the sorter-stage benchmark for each core at each
-// shard count.
-func RunSorterSuite(cores []ols.CoreKind, shardCounts []int, sources, perSource int) ([]IngestResult, error) {
-	if len(cores) == 0 {
-		cores = []ols.CoreKind{ols.CoreCalendar, ols.CoreHeap}
-	}
+// RunSorterSuite runs the sorter-stage benchmark at each shard count.
+func RunSorterSuite(shardCounts []int, sources, perSource int) ([]IngestResult, error) {
 	if len(shardCounts) == 0 {
 		shardCounts = []int{1, 2, 4, 8}
 	}
 	var out []IngestResult
-	for _, core := range cores {
-		for _, n := range shardCounts {
-			r, err := RunSorterStage(core, n, sources, perSource)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, r)
+	for _, n := range shardCounts {
+		r, err := RunSorterStage(n, sources, perSource)
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, r)
 	}
 	return out, nil
 }
@@ -120,15 +135,15 @@ func RunSorterSuite(cores []ols.CoreKind, shardCounts []int, sources, perSource 
 // them from the JSON entirely.
 func SorterTable(rows []IngestResult) *Table {
 	t := &Table{
-		Title:  "sorter: shard→merge stage throughput vs core and shard count",
-		Header: []string{"core", "shards", "sources", "records", "elapsed", "records/s", "allocs/record"},
+		Title:  "sorter: shard→merge stage throughput vs shard count",
+		Header: []string{"shards", "sources", "records", "elapsed", "records/s", "allocs/record"},
 	}
 	for _, r := range rows {
 		if r.Skipped != "" {
-			t.Add(r.Core, r.Shards, "-", "-", "-", "SKIP: "+r.Skipped, "-")
+			t.Add(r.Shards, "-", "-", "-", "SKIP: "+r.Skipped, "-")
 			continue
 		}
-		t.Add(r.Core, r.Shards, r.Sessions, r.Records,
+		t.Add(r.Shards, r.Sessions, r.Records,
 			(time.Duration(r.ElapsedMicros) * time.Microsecond).Round(time.Millisecond),
 			r.RecordsPerSec, r.AllocsPerRecord)
 	}

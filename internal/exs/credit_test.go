@@ -221,9 +221,12 @@ func TestSpillEvictionShipsLossMarker(t *testing.T) {
 	waitFor(t, 10*time.Second, func() bool { return e.Stats().Dropped > 0 })
 
 	f.releaseAll()
+	// Wait for every produced record to be accounted on the wire, as data
+	// or under a marker. An empty spill queue is not enough: the drain may
+	// still hold ring records it paused collecting during the stall.
 	waitFor(t, 10*time.Second, func() bool {
-		st := e.Stats()
-		return st.QueuedBytes == 0 && st.LossMarkers > 0
+		data, covered := f.markerTotals(t)
+		return data+covered >= produced
 	})
 	st := e.Stats()
 	if st.MarkedLost < st.Dropped {

@@ -251,6 +251,10 @@ type conn struct {
 	sess     *session     // nil for sessionless (v1-style) sensors
 	lastRecv atomic.Int64 // UnixNano of the last frame received
 	pingSeq  atomic.Uint32
+	// acked is set once HELLO_ACK is on the wire. The conn is published
+	// in m.conns before that, and the sensor's handshake expects
+	// HELLO_ACK as the first frame, so probes and pings wait for it.
+	acked atomic.Bool
 }
 
 // session is the durable identity of one external sensor across
@@ -653,19 +657,8 @@ func (m *Manager) registerMetrics(reg *metrics.Registry) {
 		Help: "current on-line sorter window T (the adaptive time frame; max across shards)", Unit: "microseconds"},
 		func() float64 { return float64(m.sorter.TimeFrame()) })
 	reg.GaugeFunc(metrics.Desc{Name: "brisk_ols_heap_depth",
-		Help: "records currently buffered inside the sorter's delay window (aggregate across shards, either core)", Unit: "records"},
+		Help: "records currently buffered inside the sorter's delay window (aggregate across shards)", Unit: "records"},
 		func() float64 { return float64(m.sorter.Buffered()) })
-	reg.GaugeFunc(metrics.Desc{Name: "brisk_ols_bucket_occupancy",
-		Help: "live records in the fullest calendar bucket across shards (0 on the heap core or while the heap fallback is active)", Unit: "records"},
-		func() float64 { return float64(m.sorter.MaxBucketOccupancy()) })
-	reg.CounterFunc(metrics.Desc{Name: "brisk_ols_fallback_heap_total",
-		Help: "times a calendar-core shard fell back to its binary heap (timestamp regression, tachyon beyond re-anchor reach, or hot-bucket imbalance)",
-		Unit: "fallbacks"},
-		func() uint64 { return m.sorter.Stats().HeapFallbacks })
-	reg.CounterFunc(metrics.Desc{Name: "brisk_ols_calendar_rebuilds_total",
-		Help: "times a calendar-core shard re-bucketed its ring at a doubled width (in-flight span outgrew the ring)",
-		Unit: "rebuilds"},
-		func() uint64 { return m.sorter.Stats().CalendarRebuilds })
 	olsCounter := func(name, help string, get func(ols.Stats) uint64) {
 		reg.CounterFunc(metrics.Desc{Name: name, Help: help, Unit: "records"}, func() uint64 {
 			return get(m.sorter.Stats())
@@ -703,9 +696,6 @@ func (m *Manager) registerMetrics(reg *metrics.Registry) {
 				func(s ols.Stats) uint64 { return s.Inversions })
 			shardCounter("brisk_ols_shard_dropped_full_total", "records this shard dropped at the aggregate MaxBuffered or per-source quota bound",
 				func(s ols.Stats) uint64 { return s.DroppedFull })
-			reg.CounterFunc(metrics.Desc{Name: "brisk_ols_shard_fallback_heap_total",
-				Help: "times this shard's calendar core fell back to its binary heap", Unit: "fallbacks", Labels: labels},
-				func() uint64 { return m.sorter.ShardStats(i).HeapFallbacks })
 		}
 	}
 	creCounter := func(name, help string, get func(cre.Stats) uint64) {
@@ -943,6 +933,7 @@ func (m *Manager) handleConn(raw net.Conn) {
 		Window: helloWindow, Version: hello.Version}); err != nil {
 		return
 	}
+	c.acked.Store(true)
 	if resumed {
 		m.logf("ism: node %d (%s) resumed session (last seq %d)", c.node, c.name, lastSeq)
 	} else {
@@ -1566,6 +1557,9 @@ func (m *Manager) heartbeatLoop() {
 				c.raw.Close() // handleConn's Recv fails and cleans up
 				continue
 			}
+			if !c.acked.Load() {
+				continue
+			}
 			if err := c.wc.Send(&wire.Ping{Seq: c.pingSeq.Add(1)}); err != nil {
 				c.raw.Close()
 			}
@@ -1653,6 +1647,9 @@ func (m *Manager) runSyncRound() {
 	keys := make([]uint64, 0, len(m.conns))
 	nodes := make([]int32, 0, len(m.conns))
 	for _, c := range m.conns {
+		if !c.acked.Load() {
+			continue
+		}
 		slaves = append(slaves, &connSlave{m: m, c: c})
 		keys = append(keys, uint64(uint32(c.node)))
 		nodes = append(nodes, c.node)

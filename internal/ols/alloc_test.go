@@ -6,18 +6,24 @@ import (
 	"brisk/internal/record"
 )
 
-// TestAllocsSteadyStatePushExtract pins the sorter's zero-allocation
-// contract: once each source queue has warmed its slot storage, a
-// push/extract cycle allocates nothing — Push deep-copies into the slot's
-// reused Fields array and Extract hands out borrowed storage.
-func TestAllocsSteadyStatePushExtract(t *testing.T) {
-	s := New(Config{InitialT: 10, Grow: GrowFixed})
+// boundedConfig turns on every piece of bookkeeping that runs on the hot
+// path — adaptive growth, decay, the occupancy bound and the per-source
+// quota — with limits the steady-state loops never reach.
+var boundedConfig = Config{
+	InitialT:    10,
+	Grow:        GrowDouble,
+	HalfLife:    1000,
+	MaxBuffered: 1 << 16,
+	SourceQuota: 1 << 12,
+}
+
+// assertSorterSteadyStateAllocFree warms a sorter under cfg with two
+// in-order sources, then requires a push/extract cycle to allocate nothing.
+func assertSorterSteadyStateAllocFree(t *testing.T, cfg Config) {
+	t.Helper()
+	s := New(cfg)
 	emit := func(record.Record) {}
-	// Warm up: establish both source queues and their slot capacity. Under
-	// the calendar core slot storage lives in the 256-bucket ring and is
-	// grown lazily as the ring rotates, so the warm phase must cover
-	// several full ring revolutions before every bucket's capacity is
-	// established.
+	// Warm up: establish both source queues and their slot capacity.
 	now := int64(0)
 	for i := 0; i < 4096; i++ {
 		now += 100
@@ -40,4 +46,68 @@ func TestAllocsSteadyStatePushExtract(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state push/extract allocates %.1f times, want 0", allocs)
 	}
+}
+
+// assertShardedSteadyStateAllocFree is the sharded counterpart: eight
+// in-order sources across four shards, push/extract/merge must allocate
+// nothing once warm.
+func assertShardedSteadyStateAllocFree(t *testing.T, cfg Config) {
+	t.Helper()
+	sh := NewSharded(cfg, 4)
+	emit := func(record.Record) {}
+	const sources = 8
+	now := int64(0)
+	warm := make([]record.Record, sources)
+	for i := range warm {
+		warm[i] = rec(0)
+	}
+	for i := 0; i < 4096; i++ {
+		now += 100
+		for s := int32(1); s <= sources; s++ {
+			warm[s-1].SetTS(now + int64(s))
+			sh.Push(s, warm[s-1], now)
+		}
+		sh.Extract(now, emit)
+	}
+	sh.Flush(emit)
+	allocs := testing.AllocsPerRun(1000, func() {
+		now += 100
+		for s := int32(1); s <= sources; s++ {
+			warm[s-1].SetTS(now + int64(s))
+			sh.Push(s, warm[s-1], now)
+		}
+		sh.Extract(now, emit)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state sharded push/extract allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestAllocsSteadyStatePushExtract pins the sorter's zero-allocation
+// contract: once each source queue has warmed its slot storage, a
+// push/extract cycle allocates nothing — Push deep-copies into the slot's
+// reused Fields array and Extract hands out borrowed storage.
+func TestAllocsSteadyStatePushExtract(t *testing.T) {
+	assertSorterSteadyStateAllocFree(t, Config{InitialT: 10, Grow: GrowFixed})
+}
+
+// TestAllocsShardedSteadyState pins the sharded sorter's steady-state
+// zero-allocation contract: once queue slots, merge runs and the loser
+// tree are warm, a push/extract/merge cycle allocates nothing — the
+// Fields arrays circulate between shard queue slots and merge-run slots
+// through Sorter.extract's swap.
+func TestAllocsShardedSteadyState(t *testing.T) {
+	assertShardedSteadyStateAllocFree(t, Config{InitialT: 10, Grow: GrowFixed})
+}
+
+// TestAllocsSteadyStateBothCores pins the same contract, bare and
+// sharded, on the heap core with boundedConfig, so the growth, decay,
+// occupancy and quota bookkeeping stays allocation-free as well.
+func TestAllocsSteadyStateBothCores(t *testing.T) {
+	t.Run("sorter/heap", func(t *testing.T) {
+		assertSorterSteadyStateAllocFree(t, boundedConfig)
+	})
+	t.Run("sharded/heap", func(t *testing.T) {
+		assertShardedSteadyStateAllocFree(t, boundedConfig)
+	})
 }

@@ -10,42 +10,26 @@
 // amount of instrumentation data delayed in memory. The method trades
 // event ordering against latency.
 //
-// # Sorter cores
+// # The sorter core
 //
-// Two interchangeable cores implement the delay-window merge, selected
-// by Config.Core and proven emission-identical on arbitrary input:
-//
-//   - CoreCalendar (the default): a timestamp-bucketed calendar queue.
-//     A record lands in the flat bucket keyed by (TS − base) / width,
-//     O(1) amortized; emission is an append-order scan of expired
-//     buckets; the bucket width tracks the adaptive window T. See
-//     calendar.go for the structure and the equivalence argument.
-//   - CoreHeap: the paper's ISM heap — per-source FIFO queues whose
-//     heads are merged through a min-heap ordered by (TS, Seq),
-//     O(log n) per record.
-//
-// A calendar-core sorter falls back to the heap automatically when the
-// input turns pathological for bucketing (a source regressing its own
-// timeline, tachyons beyond re-anchor reach behind the ring, occupancy
-// collapsing into one bucket), counts the event in Stats.HeapFallbacks,
-// and returns to the calendar once it drains empty. Fallback never
-// changes what is emitted or in what order — only the cost of producing
-// it.
+// Each source's records wait in a FIFO queue in arrival order, and the
+// queue heads are merged through a min-heap ordered by (TS, Seq) — the
+// paper's heap-based sorter, O(log n_sources) per record. Extraction
+// pops aged heads (now − TS ≥ T) off the heap until the oldest head is
+// still inside the window.
 //
 // # Adaptive window, quota and loss accounting
 //
-// Both cores share the surrounding machinery: the adaptive time frame T
-// (grown per GrowPolicy on observed inversions, exponentially decayed
-// toward MinT with half-life HalfLife), the MaxBuffered global bound
-// and per-source SourceQuota with drop-newest accounting, and the
-// per-source loss accumulators drained by TakeLosses that let the ISM
-// synthesize loss-marker records — markers themselves are exempt from
-// the bounds. Per-source FIFO order is always preserved: all of one
-// source's records order by Seq whichever core holds them.
+// Around the heap sit the adaptive time frame T (grown per GrowPolicy on
+// observed inversions, exponentially decayed toward MinT with half-life
+// HalfLife), the MaxBuffered global bound and per-source SourceQuota with
+// drop-newest accounting, and the per-source loss accumulators drained by
+// TakeLosses that let the ISM synthesize loss-marker records — markers
+// themselves are exempt from the bounds. Per-source FIFO order is always
+// preserved: one source's records leave its queue in push order.
 package ols
 
 import (
-	"container/heap"
 	"math"
 
 	"brisk/internal/record"
@@ -80,33 +64,6 @@ func (p GrowPolicy) String() string {
 	}
 }
 
-// CoreKind selects the data structure a Sorter delays and orders
-// records with.
-type CoreKind int
-
-const (
-	// CoreCalendar is the timestamp-bucketed calendar queue — O(1)
-	// amortized per record on the nearly-sorted streams the transport
-	// delivers, with an automatic per-sorter heap fallback for
-	// pathological skew. The zero value, hence the default.
-	CoreCalendar CoreKind = iota
-	// CoreHeap is the paper's comparison core: per-source FIFO queues
-	// merged through a min-heap of queue heads, O(log n) per record.
-	CoreHeap
-)
-
-// String names the core ("calendar", "heap").
-func (k CoreKind) String() string {
-	switch k {
-	case CoreCalendar:
-		return "calendar"
-	case CoreHeap:
-		return "heap"
-	default:
-		return "CoreKind(?)"
-	}
-}
-
 // Config holds the sorter's tuning knobs.
 type Config struct {
 	// InitialT is the starting time frame in µs. Default 1000.
@@ -131,10 +88,6 @@ type Config struct {
 	// budget and force drops onto quiet sensors. 0 means no per-source
 	// bound.
 	SourceQuota int
-	// Core selects the sorting data structure. The zero value is
-	// CoreCalendar; both cores emit byte-identical streams, so this is a
-	// performance knob, not a semantic one.
-	Core CoreKind
 }
 
 func (c Config) withDefaults() Config {
@@ -170,15 +123,10 @@ type Stats struct {
 	SourceDrops map[int32]uint64
 	// GrownTo is the largest T ever reached.
 	GrownTo int64
-	// HeapFallbacks counts calendar→heap core switches: pushes the
-	// bucket ring could not absorb without breaking heap equivalence
-	// (same-source timestamp regression, a tachyon behind the ring's
-	// re-anchor reach, or single-bucket occupancy collapse). Always 0
-	// for CoreHeap sorters.
-	HeapFallbacks uint64
-	// CalendarRebuilds counts bucket-ring rebuilds at a wider bucket
-	// width, taken when a push lands beyond the ring's forward span.
-	CalendarRebuilds uint64
+	// HeapFallbacks and CalendarRebuilds are always 0: the sorter has one
+	// core, the heap, and neither a fallback nor a ring to rebuild. They
+	// remain for readers that still report them.
+	HeapFallbacks, CalendarRebuilds uint64
 }
 
 // Sorter merges per-source record streams into timestamp order. Not safe
@@ -194,17 +142,8 @@ type Sorter struct {
 	emitted bool
 
 	queues map[int32]*srcQueue
-	h      srcHeap
+	h      srcHeap // the non-empty queues, by head (TS, Seq)
 	seq    uint64
-
-	// onHeap is the live core: true for CoreHeap sorters always, and for
-	// CoreCalendar sorters while the automatic fallback is engaged. The
-	// calendar state below is untouched (and empty) while it is true.
-	onHeap bool
-	cal    calendar
-	// calRebuild scratch, retained to amortize across rebuilds.
-	calRecs []record.Record
-	calQs   []*srcQueue
 
 	lossPending int // sources with unharvested drop accumulators
 
@@ -230,7 +169,6 @@ func New(cfg Config) *Sorter {
 		cfg:    cfg,
 		t:      float64(cfg.InitialT),
 		queues: make(map[int32]*srcQueue),
-		onHeap: cfg.Core == CoreHeap,
 	}
 }
 
@@ -300,8 +238,8 @@ func (s *Sorter) TakeLosses(fn func(src int32, count uint64, firstTS, lastTS int
 // merged stream. Records without a timestamp are stamped with now so they
 // flow through rather than stall the merge.
 //
-// Push deep-copies rec, including its Fields, into sorter-owned storage
-// (a calendar bucket slot or a queue slot, per the live core): the caller
+// Push deep-copies rec, including its Fields, into a slot of the source's
+// queue: the caller
 // may recycle rec.Fields (a pooled decode batch, say) as soon as Push
 // returns. The copy reuses the slot's previous Fields array, so
 // steady-state pushes do not allocate.
@@ -367,27 +305,14 @@ func (s *Sorter) Push(src int32, rec record.Record, now int64) {
 		s.grow(now - rec.TS)
 	}
 
-	if !s.onHeap {
-		if s.calInsert(q, rec) {
-			q.lastPushTS = rec.TS
-			q.buffered++
-			s.buffered++
-			return
-		}
-		// The ring cannot absorb this record without breaking heap
-		// equivalence: migrate everything buffered into the queues and
-		// continue on the heap core (reverted once it drains empty).
-		s.fallbackToHeap()
-	}
-	q.lastPushTS = rec.TS
 	wasEmpty := q.empty()
 	q.push(rec)
 	q.buffered++
 	s.buffered++
+	// A record appended behind an existing head leaves the queue's heap
+	// key unchanged; only a queue that was empty joins the heap.
 	if wasEmpty {
-		heap.Push(&s.h, q)
-	} else if q.pos >= 0 {
-		heap.Fix(&s.h, q.pos)
+		s.h.push(q)
 	}
 }
 
@@ -432,51 +357,54 @@ func (s *Sorter) decay(now int64) {
 
 // Extract emits, in merged timestamp order, every buffered record that has
 // aged at least T (now − TS ≥ T). It returns the number emitted. The
-// record passed to emit borrows its Fields from the queue or bucket slot
-// that held it, which a later Push into the sorter reuses: it is valid as
-// given only until the next Push or Extract call. A callee retaining
-// records beyond that window must record.Detach them.
+// record passed to emit borrows its Fields from the queue slot that held
+// it, which a later Push into the sorter reuses: it is valid as given
+// only until the next Push or Extract call. A callee retaining records
+// beyond that window must record.Detach them.
 func (s *Sorter) Extract(now int64, emit func(record.Record)) int {
 	s.decay(now)
-	return s.extract(now, emit)
+	return s.extract(now, emit, nil)
 }
 
-// extract dispatches the drain to the live core. Both cores apply the
-// identical aging gate (emit while now − TS ≥ T) in the identical
-// (TS, Seq) order; a calendar sorter parked on the heap fallback
-// reverts once the drain leaves it empty.
-func (s *Sorter) extract(now int64, emit func(record.Record)) int {
-	if !s.onHeap {
-		return s.calDrain(now, emit)
-	}
-	n := s.extractHeap(now, emit)
-	s.maybeRevert()
-	return n
-}
-
-// extractHeap is extract for the heap core: pop aged queue heads in
-// (TS, Seq) order, re-fixing the heap as each queue's head advances.
-func (s *Sorter) extractHeap(now int64, emit func(record.Record)) int {
+// extract pops aged queue heads in (TS, Seq) order until the oldest head
+// is still inside the window. Each popped record goes to emit, or, when
+// dst is non-nil (a staged shard, see Sharded.Extract), moves into dst
+// owning its Fields array outright while the vacated queue slot takes a
+// recycled array from dst in exchange. The staged records therefore
+// stay valid after the shard lock is released — a concurrent Push
+// reusing the slot writes into the swapped-in spare — and both queue and
+// staging storage stay allocation-free in steady state.
+func (s *Sorter) extract(now int64, emit func(record.Record), dst *mergeRun) int {
 	n := 0
+	// Aged means now − TS ≥ T, written as TS ≤ now − T so that Flush's
+	// now of MaxInt64 cannot overflow against a negative timestamp.
+	horizon := now - int64(s.t)
 	for len(s.h) > 0 {
 		q := s.h[0]
-		if now-q.head().TS < int64(s.t) {
+		slot := q.head()
+		if slot.TS > horizon {
 			break
 		}
-		rec := q.pop()
+		rec := *slot
+		if dst != nil {
+			slot.Fields = dst.put(rec)
+		}
+		q.pop()
 		q.buffered--
 		s.buffered--
 		if q.empty() {
-			heap.Pop(&s.h)
+			s.h.popTop()
 		} else {
-			heap.Fix(&s.h, 0)
+			s.h.down(0)
 		}
 		s.lastTS = rec.TS
 		s.lastSrc = q.src
 		s.emitted = true
 		s.stats.Emitted++
-		emit(rec)
 		n++
+		if dst == nil {
+			emit(rec)
+		}
 	}
 	return n
 }
@@ -489,46 +417,29 @@ func (s *Sorter) extractHeap(now int64, emit func(record.Record)) int {
 // elapsed time, collapse T to MinT and poison lastSeen for every
 // subsequent Extract.)
 func (s *Sorter) Flush(emit func(record.Record)) int {
-	return s.extract(math.MaxInt64, emit)
+	return s.extract(math.MaxInt64, emit, nil)
 }
 
 // NextDeadline returns the manager time at which the oldest buffered
 // record becomes emittable, and false when nothing is buffered. The ISM
 // merger uses it to sleep precisely instead of polling.
 func (s *Sorter) NextDeadline() (int64, bool) {
-	if !s.onHeap {
-		ts, ok := s.cal.oldest()
-		if !ok {
-			return 0, false
-		}
-		return ts + int64(s.t), true
-	}
 	if len(s.h) == 0 {
 		return 0, false
 	}
 	return s.h[0].head().TS + int64(s.t), true
 }
 
-// srcQueue is one source's FIFO with an amortized head index. Under the
-// calendar core the queue itself stays empty (records live in the
-// bucket ring) but the struct remains the source's accounting record:
-// buffered count, quota, loss accumulators, and the monotonicity
-// watermark below.
+// srcQueue is one source's FIFO with an amortized head index, and the
+// source's accounting record: buffered count, quota and loss
+// accumulators.
 type srcQueue struct {
 	src  int32
 	recs []record.Record
 	hd   int
-	pos  int // index in the heap, -1 when absent
 
-	buffered int    // live records in this queue (or this source's bucket share)
+	buffered int    // live records in this queue
 	dropped  uint64 // cumulative records dropped at a buffer bound
-
-	// lastPushTS is the timestamp of this source's most recent push. The
-	// calendar's global (TS, Seq) order equals the heap's FIFO merge only
-	// while every source's buffered records are TS-non-decreasing; a push
-	// behind this watermark (with records still buffered) forces the heap
-	// fallback before the invariant breaks.
-	lastPushTS int64
 
 	// Unharvested loss accumulator (drained by TakeLosses): how many
 	// records dropped since the last harvest and the timestamp range they
@@ -569,46 +480,70 @@ func (q *srcQueue) push(r record.Record) {
 	slot.Fields = append(fields, r.Fields...)
 }
 
-// pop removes and returns the head record. The slot — including the
-// Fields array the returned record aliases — is left in place for a later
-// push to reuse, which is what bounds Extract's borrowing window.
-func (q *srcQueue) pop() record.Record {
-	r := q.recs[q.hd]
+// pop removes the head record. The slot — including the Fields array
+// the popped record aliases — is left in place for a later push to
+// reuse, which is what bounds Extract's borrowing window.
+func (q *srcQueue) pop() {
 	q.hd++
 	if q.empty() {
 		q.recs = q.recs[:0]
 		q.hd = 0
 	}
-	return r
 }
 
-// srcHeap orders source queues by (head timestamp, head sequence).
+// srcHeap is a binary min-heap of the non-empty source queues, ordered
+// by their head records' (TS, Seq). Seq is unique per sorter, so the
+// order is total and the emission sequence does not depend on the
+// heap's shape.
 type srcHeap []*srcQueue
 
-func (h srcHeap) Len() int { return len(h) }
-func (h srcHeap) Less(i, j int) bool {
-	a, b := h[i].head(), h[j].head()
-	if a.TS != b.TS {
-		return a.TS < b.TS
-	}
-	return a.Seq < b.Seq
+// before reports whether queue a's head sorts before queue b's.
+func before(a, b *srcQueue) bool {
+	x, y := a.head(), b.head()
+	return x.TS < y.TS || (x.TS == y.TS && x.Seq < y.Seq)
 }
-func (h srcHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].pos = i
-	h[j].pos = j
-}
-func (h *srcHeap) Push(x any) {
-	q := x.(*srcQueue)
-	q.pos = len(*h)
+
+// push adds a queue that just became non-empty.
+func (h *srcHeap) push(q *srcQueue) {
 	*h = append(*h, q)
+	hp := *h
+	for i := len(hp) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !before(hp[i], hp[p]) {
+			break
+		}
+		hp[i], hp[p] = hp[p], hp[i]
+		i = p
+	}
 }
-func (h *srcHeap) Pop() any {
-	old := *h
-	n := len(old)
-	q := old[n-1]
-	old[n-1] = nil
-	q.pos = -1
-	*h = old[:n-1]
-	return q
+
+// down restores the heap below i after i's head key grew.
+func (h srcHeap) down(i int) {
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && before(h[r], h[c]) {
+			c = r
+		}
+		if !before(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// popTop removes the root, a queue that just drained empty.
+func (h *srcHeap) popTop() {
+	hp := *h
+	n := len(hp) - 1
+	hp[0] = hp[n]
+	hp[n] = nil
+	*h = hp[:n]
+	if n > 0 {
+		(*h).down(0)
+	}
 }

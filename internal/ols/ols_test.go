@@ -204,6 +204,19 @@ func TestFlushEmitsEverything(t *testing.T) {
 	}
 }
 
+// TestFlushNegativeTimestamps: Flush emits records stamped before the
+// epoch too. Its aging test must not overflow now − TS at now = MaxInt64.
+func TestFlushNegativeTimestamps(t *testing.T) {
+	s := New(Config{InitialT: 100})
+	s.Push(1, rec(-5), 0)
+	s.Push(2, rec(3), 0)
+	var got []int64
+	s.Flush(func(r record.Record) { got = append(got, r.TS) })
+	if len(got) != 2 || got[0] != -5 || got[1] != 3 || s.Buffered() != 0 {
+		t.Fatalf("flushed %v (buffered %d), want [-5 3]", got, s.Buffered())
+	}
+}
+
 func TestNextDeadline(t *testing.T) {
 	s := New(Config{InitialT: 100})
 	if _, ok := s.NextDeadline(); ok {
@@ -214,6 +227,45 @@ func TestNextDeadline(t *testing.T) {
 	if !ok || d != 1100 {
 		t.Fatalf("deadline = %d, %v; want 1100", d, ok)
 	}
+}
+
+// TestBucketBoundaryTimestamps pins the aging gate at its edge on the
+// heap core: a record emits exactly when now − TS == T, not one
+// microsecond sooner. Records stamped on the edges of the window
+// (ts == frontier, ts == frontier + T and points in between) neither
+// vanish nor reorder on a flush.
+func TestBucketBoundaryTimestamps(t *testing.T) {
+	t.Run("heap", func(t *testing.T) {
+		const T = 640
+		s := New(Config{InitialT: T, Grow: GrowFixed})
+		s.Push(1, rec(10_000), 10_000)
+		if n := s.Extract(10_000+T-1, func(record.Record) {}); n != 0 {
+			t.Fatalf("record emitted at age T-1")
+		}
+		if n := s.Extract(10_000+T, func(record.Record) {}); n != 1 {
+			t.Fatalf("record not emitted at age exactly T")
+		}
+
+		want := []int64{20_000}
+		s.Push(1, rec(20_000), 20_000)
+		for i, ts := range []int64{20_000 + T, 20_000 + T/2, 20_001, 20_000 + T - 1} {
+			// One source per edge timestamp: per-source FIFO order is a
+			// standing contract, so a single source pushing out of order
+			// would (correctly) emit in push order, not TS order.
+			s.Push(2+int32(i), rec(ts), 20_000)
+			want = append(want, ts)
+		}
+		var got []int64
+		s.Flush(func(r record.Record) { got = append(got, r.TS) })
+		if len(got) != len(want) {
+			t.Fatalf("flushed %d records, want %d", len(got), len(want))
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i] < got[i-1] {
+				t.Fatalf("flush order not monotone: %v", got)
+			}
+		}
+	})
 }
 
 // TestOrderedWheneverLatenessWithinT is the sorter's core invariant: if

@@ -282,3 +282,123 @@ func TestPropertyAdversarialMonotoneWhenTCovers(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzSorter feeds arbitrary byte-derived schedules — including
+// per-source timestamp regressions, which violate the transport
+// invariant on purpose — to a bare sorter and a 4-shard one, and checks
+// the sorter's contracts on every emission:
+//
+//   - conservation: every pushed record is emitted exactly once;
+//   - per-source FIFO: each source's records leave in push order, even
+//     when the source's timestamps regress;
+//   - aging: Extract emits nothing younger than T;
+//   - monotone emission when T covers every record's lateness and every
+//     source's timestamps are non-decreasing.
+func FuzzSorter(f *testing.F) {
+	// Seed: a calm in-order stream.
+	f.Add([]byte{0, 10, 5, 1, 10, 5, 0, 10, 5, 1, 10, 5})
+	// Seed: edge timestamps — deltas of exactly 10 and arrivals at exactly
+	// age T, so records age out at now − TS == T precisely.
+	f.Add([]byte{0, 64 + 10, 128, 0, 64 + 10, 128, 1, 64, 128, 0, 64 + 10, 128})
+	// Seed: a source regressing its own timestamps mid-stream (a delta
+	// byte below 64 walks TS backward).
+	f.Add([]byte{0, 100, 5, 0, 3, 5, 0, 100, 5})
+	// Seed: a far tachyon (maximum backward step) behind the frontier.
+	f.Add([]byte{0, 255, 0, 1, 0, 0, 0, 255, 0, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 600 {
+			data = data[:600]
+		}
+		var m streamModel
+		ts := map[int32]int64{1: 10_000, 2: 10_000, 3: 10_000}
+		now := int64(10_000)
+		monotone := true
+		for i := 0; i+2 < len(data); i += 3 {
+			src := int32(data[i]%3) + 1
+			// Delta byte is biased: values ≥ 64 advance the source's clock,
+			// values below walk it backward (tachyons/regressions).
+			delta := int64(data[i+1]) - 64
+			if delta < 0 {
+				monotone = false
+			}
+			ts[src] += delta
+			now += int64(data[i+2]) / 4
+			if late := now - ts[src]; late > m.maxLate {
+				m.maxLate = late
+			}
+			r := rec(ts[src])
+			r.Fields = append(r.Fields, record.U64Val(uint64(len(m.arrivals)+1)))
+			m.arrivals = append(m.arrivals, arrival{src, r, now})
+		}
+		if len(m.arrivals) == 0 {
+			t.Skip("no arrivals decoded")
+		}
+		for _, shards := range []int{0, 4} {
+			checkSchedule(t, m, 640, shards, false)
+			if monotone {
+				checkSchedule(t, m, m.maxLate+1, shards, true)
+			}
+		}
+	})
+}
+
+// checkSchedule runs m through a fixed-T sorter (bare when shards is 0)
+// with an Extract after every arrival and a final Flush, and fails t on
+// a broken contract: loss or duplication, per-source FIFO, emission
+// before age T and, when wantMonotone, a timestamp going backward. Each
+// arrival's last field is its 1-based index in m.arrivals.
+func checkSchedule(t *testing.T, m streamModel, T int64, shards int, wantMonotone bool) {
+	t.Helper()
+	cfg := Config{InitialT: T, Grow: GrowFixed}
+	var (
+		push    func(int32, record.Record, int64)
+		extract func(int64, func(record.Record)) int
+		flush   func(func(record.Record)) int
+	)
+	if shards == 0 {
+		s := New(cfg)
+		push, extract, flush = s.Push, s.Extract, s.Flush
+	} else {
+		sh := NewSharded(cfg, shards)
+		push, extract, flush = sh.Push, sh.Extract, sh.Flush
+	}
+	seen := make([]bool, len(m.arrivals))
+	lastID := map[int32]uint64{}
+	var lastTS int64
+	n := 0
+	// emit checks each record against the contracts; now is the Extract
+	// time, or flushing is set for the final Flush, which ignores age.
+	emit := func(now int64, flushing bool) func(record.Record) {
+		return func(r record.Record) {
+			id := r.Fields[len(r.Fields)-1].Uint()
+			if id == 0 || id > uint64(len(seen)) || seen[id-1] {
+				t.Fatalf("shards=%d T=%d: record %d emitted twice or never pushed", shards, T, id)
+			}
+			seen[id-1] = true
+			if a := m.arrivals[id-1]; r.Node != a.src || r.TS != a.r.TS {
+				t.Fatalf("shards=%d T=%d: record %d came out as (src %d, ts %d), pushed as (%d, %d)",
+					shards, T, id, r.Node, r.TS, a.src, a.r.TS)
+			}
+			if id < lastID[r.Node] {
+				t.Fatalf("shards=%d T=%d: source %d emitted record %d after %d", shards, T, r.Node, id, lastID[r.Node])
+			}
+			lastID[r.Node] = id
+			if !flushing && now-r.TS < T {
+				t.Fatalf("shards=%d T=%d: record %d emitted at age %d", shards, T, id, now-r.TS)
+			}
+			if wantMonotone && n > 0 && r.TS < lastTS {
+				t.Fatalf("shards=%d T=%d: ts %d emitted after %d", shards, T, r.TS, lastTS)
+			}
+			lastTS = r.TS
+			n++
+		}
+	}
+	for _, a := range m.arrivals {
+		push(a.src, a.r, a.at)
+		extract(a.at, emit(a.at, false))
+	}
+	flush(emit(0, true))
+	if n != len(m.arrivals) {
+		t.Fatalf("shards=%d T=%d: emitted %d of %d records", shards, T, n, len(m.arrivals))
+	}
+}

@@ -1,15 +1,13 @@
 // Sharded parallel sorting: sources are partitioned across independent
-// sorter shards — each with its own core (calendar bucket ring or heap,
-// per Config.Core), adaptive time frame T and per-source bookkeeping —
-// whose individually monotone outputs are recombined through a
-// loser-tree k-way merge keyed by synchronized timestamps. The
-// delay-window semantics only require a totally ordered emission, not a
-// single ordering structure, so pushes into different shards can
-// proceed in parallel while one merger drains them.
+// sorter shards — each with its own heap, adaptive time frame T and
+// per-source bookkeeping — whose individually monotone outputs are
+// recombined through a loser-tree k-way merge keyed by synchronized
+// timestamps. The delay-window semantics only require a totally ordered
+// emission, not a single ordering structure, so pushes into different
+// shards can proceed in parallel while one merger drains them.
 package ols
 
 import (
-	"container/heap"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -162,7 +160,7 @@ func (sh *Sharded) Extract(now int64, emit func(record.Record)) int {
 		shd.mu.Lock()
 		shd.s.decay(now)
 		before := shd.s.buffered
-		shd.s.extractSwap(now, &sh.runs[i])
+		shd.s.extract(now, nil, &sh.runs[i])
 		sh.agg.Add(int64(shd.s.buffered - before))
 		shd.mu.Unlock()
 	}
@@ -189,7 +187,7 @@ func (sh *Sharded) Flush(emit func(record.Record)) int {
 	for i, shd := range sh.shards {
 		shd.mu.Lock()
 		before := shd.s.buffered
-		shd.s.extractSwap(math.MaxInt64, &sh.runs[i])
+		shd.s.extract(math.MaxInt64, nil, &sh.runs[i])
 		sh.agg.Add(int64(shd.s.buffered - before))
 		shd.mu.Unlock()
 	}
@@ -273,8 +271,6 @@ func (sh *Sharded) Stats() Stats {
 		st.Emitted += s.Emitted
 		st.Inversions += s.Inversions
 		st.DroppedFull += s.DroppedFull
-		st.HeapFallbacks += s.HeapFallbacks
-		st.CalendarRebuilds += s.CalendarRebuilds
 		if s.GrownTo > st.GrownTo {
 			st.GrownTo = s.GrownTo
 		}
@@ -298,23 +294,6 @@ func (sh *Sharded) TimeFrame() int64 {
 		shd.mu.Unlock()
 		if t > max {
 			max = t
-		}
-	}
-	return max
-}
-
-// MaxBucketOccupancy returns the live-record count of the fullest
-// calendar bucket across all shards — the imbalance signal behind the
-// per-shard heap fallback. Zero when every shard is on the heap (by
-// configuration or fallback).
-func (sh *Sharded) MaxBucketOccupancy() int {
-	max := 0
-	for _, shd := range sh.shards {
-		shd.mu.Lock()
-		occ := shd.s.MaxBucketOccupancy()
-		shd.mu.Unlock()
-		if occ > max {
-			max = occ
 		}
 	}
 	return max
@@ -390,59 +369,11 @@ func (sh *Sharded) NextDeadline() (int64, bool) {
 	return best, ok
 }
 
-// extractSwap is extract for a staged shard: every aged record moves
-// into dst owning its Fields array outright, and the vacated queue or
-// bucket slot receives a recycled array from dst in exchange. The
-// staged records therefore stay valid after the shard lock is released
-// — a concurrent Push reusing the slot writes into the swapped-in
-// spare, not into the array the merge is about to emit — while both
-// shard and staging storage stay allocation-free in steady state (the
-// arrays circulate between sorter slots and run slots). Like extract,
-// it dispatches to the shard's live core.
-func (s *Sorter) extractSwap(now int64, dst *mergeRun) int {
-	if !s.onHeap {
-		return s.calDrainSwap(now, dst)
-	}
-	n := s.extractSwapHeap(now, dst)
-	s.maybeRevert()
-	return n
-}
-
-// extractSwapHeap is extractSwap's heap-core loop.
-func (s *Sorter) extractSwapHeap(now int64, dst *mergeRun) int {
-	n := 0
-	for len(s.h) > 0 {
-		q := s.h[0]
-		if now-q.head().TS < int64(s.t) {
-			break
-		}
-		slot := q.head()
-		rec := *slot
-		slot.Fields = dst.put(rec)
-		q.hd++
-		if q.empty() {
-			q.recs = q.recs[:0]
-			q.hd = 0
-			heap.Pop(&s.h)
-		} else {
-			heap.Fix(&s.h, 0)
-		}
-		q.buffered--
-		s.buffered--
-		s.lastTS = rec.TS
-		s.lastSrc = q.src
-		s.emitted = true
-		s.stats.Emitted++
-		n++
-	}
-	return n
-}
-
 // mergeRun is one shard's staging area for a merge pass: records in
 // shard-emission (timestamp) order, consumed head-first by the loser
 // tree. Slots are reused across passes, so the Fields arrays parked in
 // them by previous passes are handed back to shard queue slots as the
-// swap currency of extractSwap.
+// swap currency of Sorter.extract.
 type mergeRun struct {
 	recs []record.Record
 	next int

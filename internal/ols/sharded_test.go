@@ -308,42 +308,6 @@ func TestShardedConcurrentConservation(t *testing.T) {
 	}
 }
 
-// TestAllocsShardedSteadyState pins the sharded sorter's steady-state
-// zero-allocation contract: once queue slots, merge runs and the loser
-// tree are warm, a push/extract/merge cycle allocates nothing — the
-// Fields arrays circulate between shard queue slots and merge-run slots
-// via extractSwap.
-func TestAllocsShardedSteadyState(t *testing.T) {
-	sh := NewSharded(Config{InitialT: 10, Grow: GrowFixed}, 4)
-	emit := func(record.Record) {}
-	const sources = 8
-	now := int64(0)
-	warm := make([]record.Record, sources)
-	for i := range warm {
-		warm[i] = rec(0)
-	}
-	for i := 0; i < 4096; i++ {
-		now += 100
-		for s := int32(1); s <= sources; s++ {
-			warm[s-1].SetTS(now + int64(s))
-			sh.Push(s, warm[s-1], now)
-		}
-		sh.Extract(now, emit)
-	}
-	sh.Flush(emit)
-	allocs := testing.AllocsPerRun(1000, func() {
-		now += 100
-		for s := int32(1); s <= sources; s++ {
-			warm[s-1].SetTS(now + int64(s))
-			sh.Push(s, warm[s-1], now)
-		}
-		sh.Extract(now, emit)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state sharded push/extract allocates %.1f times, want 0", allocs)
-	}
-}
-
 // BenchmarkShardedSorter measures the sorter stage alone — parallel
 // per-source pushers against one merger — at increasing shard counts.
 func BenchmarkShardedSorter(b *testing.B) {

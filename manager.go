@@ -58,22 +58,7 @@ type SorterOptions struct {
 	// dropped (and represented by a loss marker) while other nodes'
 	// records still flow.
 	SourceQuota int
-	// Core selects the in-window data structure: the default calendar
-	// queue (amortized O(1) per record, falls back to the heap on
-	// pathological skew) or the binary heap baseline. Both emit
-	// identically; this is purely a performance knob (see TUNING.md).
-	Core SorterCore
 }
-
-// SorterCore selects the sorter's in-window data structure.
-type SorterCore = ols.CoreKind
-
-// The sorter cores. CoreCalendar (the zero value) is the production
-// default; CoreHeap forces the baseline binary heap.
-const (
-	CoreCalendar = ols.CoreCalendar
-	CoreHeap     = ols.CoreHeap
-)
 
 // SyncOptions tunes the clock-synchronization master.
 type SyncOptions struct {
@@ -270,7 +255,6 @@ func StartManager(opts ManagerOptions) (*Manager, error) {
 			Grow:        opts.Sorter.Policy.grow(),
 			MaxBuffered: opts.Sorter.MaxBuffered,
 			SourceQuota: opts.Sorter.SourceQuota,
-			Core:        opts.Sorter.Core,
 		},
 		OLSShards:        opts.OLSShards,
 		AckHighWater:     opts.AckHighWater,
