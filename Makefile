@@ -74,10 +74,10 @@ bench:
 # testing.AllocsPerRun), the short ingest benchmark compared against the
 # committed baseline — fails on >BENCH_MAXLOSS fractional throughput loss
 # or on any real allocs-per-record growth — and the sorter stage at
-# shards {1, 4}: it must scale ≥1.5× at 4 shards (skipped below 4 CPUs;
-# the skipped row is announced but omitted from the JSON body). Writes
-# the current numbers to BENCH_current.json (gitignored; CI uploads it as
-# an artifact).
+# shards {1, 4}: it must scale ≥1.5× at 4 shards (below 4 CPUs the
+# 4-shard row is not run and the gate prints one SKIP line). An
+# informational relay-hop row rides along. Writes the current numbers to
+# BENCH_current.json (gitignored; CI uploads it as an artifact).
 bench-check:
 	$(GO) test -run 'TestAllocs' ./internal/record ./internal/ols ./internal/picl ./internal/shm ./internal/wire ./internal/clocksync
 	$(GO) run ./cmd/briskbench benchgate -baseline BENCH_baseline.json -out BENCH_current.json -maxloss $(BENCH_MAXLOSS)

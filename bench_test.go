@@ -6,7 +6,6 @@ package brisk_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -73,37 +72,16 @@ func BenchmarkE2EXSDrain(b *testing.B) {
 // delivery of the 40-byte record (paper: max ≈ 90,000 events/s on the
 // 1997-era testbed). events/s = 1e9 / (ns/op).
 func BenchmarkE3PipelineThroughput(b *testing.B) {
-	mgr, err := brisk.StartManager(brisk.ManagerOptions{
-		MergeInterval: time.Millisecond,
-		BufferRecords: 1024,
-		Logf:          func(string, ...any) {},
-	})
+	rig, err := bench.StartRig(brisk.ManagerOptions{MergeInterval: time.Millisecond, BufferRecords: 1024},
+		brisk.NodeOptions{FlushInterval: time.Millisecond, PollInterval: 100 * time.Microsecond}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer mgr.Close()
-	node, err := brisk.ConnectNode(brisk.NodeOptions{
-		ManagerAddr:   mgr.Addr(),
-		FlushInterval: time.Millisecond,
-		PollInterval:  100 * time.Microsecond,
-		Logf:          func(string, ...any) {},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer node.Close()
-	s := node.NewSensor("tp", brisk.SensorOptions{RingBytes: 1 << 22})
+	defer rig.Close()
 	b.SetBytes(40)
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for !s.Notice6i(1, int32(i), 2, 3, 4, 5, 6) {
-			runtime.Gosched()
-		}
-	}
-	node.Flush()
-	for int(mgr.Stats().Received) < b.N {
-		node.Flush()
-		time.Sleep(time.Millisecond)
+	if _, err := rig.Push(b.N); err != nil {
+		b.Fatal(err)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
@@ -151,62 +129,19 @@ func BenchmarkE4EndToEndLatency(b *testing.B) {
 func BenchmarkE5ScaleNodes(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
-			mgr, err := brisk.StartManager(brisk.ManagerOptions{
-				MergeInterval: time.Millisecond,
-				BufferRecords: 1024,
-				Logf:          func(string, ...any) {},
-			})
+			rig, err := bench.StartRig(brisk.ManagerOptions{MergeInterval: time.Millisecond, BufferRecords: 1024},
+				brisk.NodeOptions{FlushInterval: time.Millisecond, PollInterval: 100 * time.Microsecond}, n)
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer mgr.Close()
-			type nd struct {
-				node *brisk.Node
-				s    *brisk.Sensor
-			}
-			var nodes []nd
-			for i := 0; i < n; i++ {
-				node, err := brisk.ConnectNode(brisk.NodeOptions{
-					ManagerAddr:   mgr.Addr(),
-					FlushInterval: time.Millisecond,
-					PollInterval:  100 * time.Microsecond,
-					Logf:          func(string, ...any) {},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer node.Close()
-				nodes = append(nodes, nd{node, node.NewSensor("s", brisk.SensorOptions{RingBytes: 1 << 21})})
-			}
-			per := b.N / n
-			if per == 0 {
-				per = 1
-			}
+			defer rig.Close()
+			per := max(b.N/n, 1)
 			b.ResetTimer()
-			done := make(chan struct{})
-			for _, x := range nodes {
-				go func(x nd) {
-					for i := 0; i < per; i++ {
-						for !x.s.Notice6i(1, int32(i), 0, 0, 0, 0, 0) {
-							runtime.Gosched()
-						}
-					}
-					x.node.Flush()
-					done <- struct{}{}
-				}(x)
-			}
-			for range nodes {
-				<-done
-			}
-			total := per * n
-			for int(mgr.Stats().Received) < total {
-				for _, x := range nodes {
-					x.node.Flush()
-				}
-				time.Sleep(time.Millisecond)
+			if _, err := rig.Push(per); err != nil {
+				b.Fatal(err)
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "events/s")
+			b.ReportMetric(float64(per*n)/b.Elapsed().Seconds(), "events/s")
 		})
 	}
 }

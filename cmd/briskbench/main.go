@@ -7,7 +7,7 @@
 //	briskbench all
 //	briskbench notice [-iters 2000000]
 //	briskbench exsutil [-dur 2s]
-//	briskbench throughput [-events 500000]
+//	briskbench throughput [-events 500000] [-batches]
 //	briskbench latency [-events 200]
 //	briskbench scale [-nodes 8] [-events 100000]
 //	briskbench clocksync [-seed 1]
@@ -18,6 +18,7 @@
 //	briskbench sync [-seed 1] [-assert-reduction 5]
 //	briskbench benchgate -baseline BENCH_baseline.json [-out BENCH_current.json]
 //	briskbench matrix [-scenarios scenarios] [-filter smoke] [-out BENCH_scenarios.json]
+//	briskbench intrusion [-iters 2000000]
 //
 // Absolute numbers depend on the host; the paper's qualitative shape —
 // who wins, roughly by what factor, where the knees are — is what the
@@ -216,8 +217,9 @@ func runIntrusion(args []string) error {
 	return nil
 }
 
-// parseSessionCounts turns "1,8" into []int{1, 8}.
-func parseSessionCounts(s string) ([]int, error) {
+// parseCounts turns "1,8" into []int{1, 8}, rejecting any count below
+// least and an empty list.
+func parseCounts(s string, least int) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(s, ",") {
 		f = strings.TrimSpace(f)
@@ -225,13 +227,13 @@ func parseSessionCounts(s string) ([]int, error) {
 			continue
 		}
 		n, err := strconv.Atoi(f)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad session count %q", f)
+		if err != nil || n < least {
+			return nil, fmt.Errorf("bad count %q (want an integer >= %d)", f, least)
 		}
 		out = append(out, n)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("no session counts in %q", s)
+		return nil, fmt.Errorf("no counts in %q", s)
 	}
 	return out, nil
 }
@@ -243,7 +245,7 @@ func runIngest(args []string) error {
 	batch := fs.Int("batch", 256, "records per data batch")
 	jsonPath := fs.String("json", "", "also write results as a bench-check reference file")
 	fs.Parse(args)
-	counts, err := parseSessionCounts(*sessions)
+	counts, err := parseCounts(*sessions, 1)
 	if err != nil {
 		return err
 	}
@@ -251,7 +253,7 @@ func runIngest(args []string) error {
 	if err != nil {
 		return err
 	}
-	bench.IngestTable(rows).Render(os.Stdout)
+	bench.FloodTable(rows).Render(os.Stdout)
 	if *jsonPath != "" {
 		return bench.WriteBenchFile(*jsonPath, rows)
 	}
@@ -264,7 +266,7 @@ func runSorter(args []string) error {
 	sources := fs.Int("sources", 8, "parallel pushing sources")
 	records := fs.Int("records", 100_000, "records per source")
 	fs.Parse(args)
-	counts, err := parseSessionCounts(*shards)
+	counts, err := parseCounts(*shards, 1)
 	if err != nil {
 		return err
 	}
@@ -282,23 +284,15 @@ func runSubscribe(args []string) error {
 	records := fs.Int("records", 150_000, "records pushed through the tapped manager")
 	batch := fs.Int("batch", 256, "records per data batch")
 	fs.Parse(args)
-	var counts []int
-	for _, f := range strings.Split(*subs, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 0 {
-			return fmt.Errorf("bad subscriber count %q", f)
-		}
-		counts = append(counts, n)
+	counts, err := parseCounts(*subs, 0)
+	if err != nil {
+		return err
 	}
 	rows, err := bench.RunSubscribeSuite(counts, *records, *batch)
 	if err != nil {
 		return err
 	}
-	bench.SubscribeTable(rows).Render(os.Stdout)
+	bench.FloodTable(rows).Render(os.Stdout)
 	return nil
 }
 
@@ -361,15 +355,13 @@ func runBenchGate(args []string) error {
 	if err != nil {
 		return err
 	}
-	bench.IngestTable(rows).Render(os.Stdout)
+	bench.FloodTable(rows).Render(os.Stdout)
 	fmt.Println()
 	// The sorter-stage sweep runs at 1 and 4 shards. The 4-shard
 	// configuration needs real parallelism to mean anything: on fewer than
 	// 4 CPUs it runs 4× SLOWER than one shard, a number that would poison
-	// any cross-box comparison. Below 4 CPUs it is not run at all — the
-	// rendered table carries an explicit SKIP row, and WriteBenchFile
-	// omits that row from the JSON body entirely so downstream tooling
-	// never sees a `records: 0` configuration.
+	// any cross-box comparison, so below 4 CPUs it is not run at all and
+	// the scaling gate below announces the skip.
 	procs := runtime.GOMAXPROCS(0)
 	shardCounts := []int{1, 4}
 	if procs < 4 {
@@ -378,13 +370,6 @@ func runBenchGate(args []string) error {
 	srows, err := bench.RunSorterSuite(shardCounts, 8, *sorterRecords)
 	if err != nil {
 		return err
-	}
-	if procs < 4 {
-		srows = append(srows, bench.IngestResult{
-			Name:    "sorter/shards=4",
-			Shards:  4,
-			Skipped: fmt.Sprintf("GOMAXPROCS=%d < 4: shard scaling not measurable on this box", procs),
-		})
 	}
 	bench.SorterTable(srows).Render(os.Stdout)
 	// The relay-hop row prices federated delivery (leaf→relay→root) at
@@ -403,7 +388,7 @@ func runBenchGate(args []string) error {
 		return err
 	}
 	fmt.Println()
-	bench.RelayTable([]bench.IngestResult{rrow}).Render(os.Stdout)
+	bench.FloodTable([]bench.IngestResult{rrow}).Render(os.Stdout)
 	if *out != "" {
 		all := append(append([]bench.IngestResult{}, rows...), srows...)
 		all = append(all, rrow)

@@ -2,9 +2,11 @@ package bench
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"brisk"
 	"brisk/internal/clocksync"
 	"brisk/internal/ols"
 	"brisk/internal/simnet"
@@ -59,6 +61,32 @@ func TestRunThroughputSmall(t *testing.T) {
 	}
 	if len(res.Table().Rows) != 1 {
 		t.Fatal("table shape")
+	}
+}
+
+// TestRigPushStopsAtData: Push returns only once every data record is
+// past the sorter. The slow ring scan makes the ring refuse notices, so
+// the EXS ships loss markers that reach the sinks too and must not count
+// toward the total.
+func TestRigPushStopsAtData(t *testing.T) {
+	var data atomic.Int64
+	rig, err := StartRig(brisk.ManagerOptions{
+		MergeInterval: time.Millisecond,
+		Filter:        func(*brisk.Record) bool { data.Add(1); return true },
+	}, brisk.NodeOptions{FlushInterval: time.Millisecond, PollInterval: 100 * time.Millisecond}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rig.Close()
+	const events = 200_000
+	if _, err := rig.Push(events); err != nil {
+		t.Fatal(err)
+	}
+	if got := data.Load(); got != events {
+		t.Fatalf("Push returned with %d of %d data records delivered", got, events)
+	}
+	if st := rig.Nodes[0].Stats(); st.RingDropped == 0 || st.LossMarkers == 0 {
+		t.Fatalf("no retried refusals to mark (ring refusals %d, markers %d)", st.RingDropped, st.LossMarkers)
 	}
 }
 

@@ -16,69 +16,127 @@ import (
 
 func quiet(string, ...any) {}
 
+// Rig is a manager with connected nodes, one sensor each: the pipeline
+// experiments E2–E5 and the batch ablation drive. E3, E5 and the
+// ablation load it with Push.
+type Rig struct {
+	Manager *brisk.Manager
+	Nodes   []*brisk.Node
+	sensors []*brisk.Sensor
+	pushed  int
+}
+
+// StartRig starts a manager and connects `nodes` nodes to it, with the
+// given options and logging off. Close releases them.
+func StartRig(mopts brisk.ManagerOptions, nopts brisk.NodeOptions, nodes int) (*Rig, error) {
+	mopts.Logf, nopts.Logf = quiet, quiet
+	mgr, err := brisk.StartManager(mopts)
+	if err != nil {
+		return nil, err
+	}
+	r := &Rig{Manager: mgr}
+	nopts.ManagerAddr = mgr.Addr()
+	for i := 0; i < nodes; i++ {
+		node, err := brisk.ConnectNode(nopts)
+		if err != nil {
+			r.Close()
+			return nil, fmt.Errorf("bench: connecting node %d of %d: %w", i+1, nodes, err)
+		}
+		r.Nodes = append(r.Nodes, node)
+		r.sensors = append(r.sensors, node.NewSensor("push", brisk.SensorOptions{RingBytes: 1 << 22}))
+	}
+	return r, nil
+}
+
+// Push has every node push perNode unpaced six-int notices (the paper's
+// 40-byte record) at once, then flushes the nodes until the manager has
+// emitted every data record past the sorter. It returns the time from
+// the first notice to the last emission. A notice the full ring refuses
+// is retried, so the result is the pipeline's sustained delivered rate,
+// not the rate at which the ring can shed load; the loss markers the EXS
+// ships for those refusals reach the sinks too, and do not count.
+func (r *Rig) Push(perNode int) (time.Duration, error) {
+	r.pushed += perNode * len(r.sensors)
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i, s := range r.sensors {
+		wg.Add(1)
+		go func(node *brisk.Node) {
+			defer wg.Done()
+			for j := 0; j < perNode; j++ {
+				for !s.Notice6i(1, int32(j), 2, 3, 4, 5, 6) {
+					runtime.Gosched()
+				}
+			}
+			node.Flush()
+		}(r.Nodes[i])
+	}
+	wg.Wait()
+	deadline := time.Now().Add(180 * time.Second)
+	for {
+		// The manager's count is read before the nodes' marker counts,
+		// so every marker it includes is subtracted.
+		data := int64(r.Manager.Stats().Emitted)
+		for _, node := range r.Nodes {
+			data -= int64(node.Stats().LossMarkers)
+		}
+		if data >= int64(r.pushed) {
+			return time.Since(start), nil
+		}
+		if time.Now().After(deadline) {
+			return 0, fmt.Errorf("bench: manager emitted %d of %d data records", data, r.pushed)
+		}
+		for _, node := range r.Nodes {
+			node.Flush()
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// Close closes the nodes, then the manager.
+func (r *Rig) Close() {
+	for _, node := range r.Nodes {
+		node.Close()
+	}
+	r.Manager.Close()
+}
+
+// pushNode is the node configuration of every node-push experiment.
+var pushNode = brisk.NodeOptions{FlushInterval: time.Millisecond, PollInterval: 100 * time.Microsecond}
+
 // ThroughputResult is experiment E3: the maximum sustainable EXS→ISM
 // event rate for the paper's 40-byte records.
 type ThroughputResult struct {
-	Events    int
-	Elapsed   time.Duration
-	EventsPS  float64
-	MBytesPS  float64
-	RingDrops uint64
+	Events   int
+	Elapsed  time.Duration
+	EventsPS float64
+	MBytesPS float64
+	// RingRefusals counts notices the full ring refused and the bench
+	// retried; none of them is lost.
+	RingRefusals uint64
 }
 
 // RunThroughput measures E3 by pushing events unpaced through one node
-// into the manager until all arrive.
+// into the manager until all are delivered.
 func RunThroughput(events int) (ThroughputResult, error) {
 	if events <= 0 {
 		events = 500_000
 	}
-	mgr, err := brisk.StartManager(brisk.ManagerOptions{
-		MergeInterval: time.Millisecond,
-		BufferRecords: 4096,
-		Logf:          quiet,
-	})
+	rig, err := StartRig(brisk.ManagerOptions{MergeInterval: time.Millisecond, BufferRecords: 4096}, pushNode, 1)
 	if err != nil {
 		return ThroughputResult{}, err
 	}
-	defer mgr.Close()
-	node, err := brisk.ConnectNode(brisk.NodeOptions{
-		ManagerAddr:   mgr.Addr(),
-		FlushInterval: time.Millisecond,
-		PollInterval:  100 * time.Microsecond,
-		Logf:          quiet,
-	})
+	defer rig.Close()
+	elapsed, err := rig.Push(events)
 	if err != nil {
 		return ThroughputResult{}, err
-	}
-	defer node.Close()
-
-	// The application retries when the ring is momentarily full so that
-	// the result is the pipeline's sustained delivered rate, not the rate
-	// at which the ring can shed load.
-	s := node.NewSensor("tp", brisk.SensorOptions{RingBytes: 1 << 22})
-	start := time.Now()
-	for i := 0; i < events; i++ {
-		for !s.Notice6i(1, int32(i), 2, 3, 4, 5, 6) {
-			runtime.Gosched()
-		}
-	}
-	node.Flush()
-	deadline := time.Now().Add(120 * time.Second)
-	for int(mgr.Stats().Received) < events && time.Now().Before(deadline) {
-		node.Flush()
-		time.Sleep(time.Millisecond)
-	}
-	elapsed := time.Since(start)
-	st := mgr.Stats()
-	if int(st.Received) < events {
-		return ThroughputResult{}, fmt.Errorf("bench: manager received %d of %d", st.Received, events)
 	}
 	return ThroughputResult{
-		Events:    events,
-		Elapsed:   elapsed,
-		EventsPS:  float64(events) / elapsed.Seconds(),
-		MBytesPS:  float64(st.BytesIn) / 1e6 / elapsed.Seconds(),
-		RingDrops: node.Stats().RingDropped,
+		Events:       events,
+		Elapsed:      elapsed,
+		EventsPS:     float64(events) / elapsed.Seconds(),
+		MBytesPS:     float64(rig.Manager.Stats().BytesIn) / 1e6 / elapsed.Seconds(),
+		RingRefusals: rig.Nodes[0].Stats().RingDropped,
 	}, nil
 }
 
@@ -86,9 +144,9 @@ func RunThroughput(events int) (ThroughputResult, error) {
 func (r ThroughputResult) Table() *Table {
 	t := &Table{
 		Title:  "E3: EXS→ISM throughput (paper: max ≈ 90,000 events/s)",
-		Header: []string{"events", "elapsed", "events/s", "MB/s", "ring drops"},
+		Header: []string{"events", "elapsed", "events/s", "MB/s", "ring refusals (retried)"},
 	}
-	t.Add(r.Events, r.Elapsed.Round(time.Millisecond), r.EventsPS, r.MBytesPS, r.RingDrops)
+	t.Add(r.Events, r.Elapsed.Round(time.Millisecond), r.EventsPS, r.MBytesPS, r.RingRefusals)
 	return t
 }
 
@@ -119,25 +177,12 @@ func RunLatency(eventsPerSetting int) ([]LatencyRow, error) {
 	}
 	var rows []LatencyRow
 	for _, cfg := range settings {
-		mgr, err := brisk.StartManager(brisk.ManagerOptions{
-			MergeInterval: cfg.merge,
-			Sorter:        brisk.SorterOptions{InitialT: 100},
-			Logf:          quiet,
-		})
+		rig, err := StartRig(brisk.ManagerOptions{MergeInterval: cfg.merge, Sorter: brisk.SorterOptions{InitialT: 100}},
+			brisk.NodeOptions{FlushInterval: cfg.flush}, 1)
 		if err != nil {
 			return nil, err
 		}
-		node, err := brisk.ConnectNode(brisk.NodeOptions{
-			ManagerAddr:   mgr.Addr(),
-			FlushInterval: cfg.flush,
-			Logf:          quiet,
-		})
-		if err != nil {
-			mgr.Close()
-			return nil, err
-		}
-		s := node.NewSensor("lat")
-		c := mgr.Consume()
+		s, c := rig.sensors[0], rig.Manager.Consume()
 		res := stats.NewReservoir(eventsPerSetting)
 		var run stats.Running
 		for i := 0; i < eventsPerSetting; i++ {
@@ -154,8 +199,7 @@ func RunLatency(eventsPerSetting int) ([]LatencyRow, error) {
 			run.Add(d)
 			time.Sleep(time.Millisecond)
 		}
-		node.Close()
-		mgr.Close()
+		rig.Close()
 		rows = append(rows, LatencyRow{
 			FlushInterval: cfg.flush,
 			MergeInterval: cfg.merge,
@@ -199,67 +243,16 @@ func RunScale(maxNodes int, perNodeEvents int) ([]ScaleRow, error) {
 	}
 	var rows []ScaleRow
 	for n := 1; n <= maxNodes; n++ {
-		mgr, err := brisk.StartManager(brisk.ManagerOptions{
-			MergeInterval: time.Millisecond,
-			BufferRecords: 4096,
-			Logf:          quiet,
-		})
+		rig, err := StartRig(brisk.ManagerOptions{MergeInterval: time.Millisecond, BufferRecords: 4096}, pushNode, n)
 		if err != nil {
 			return nil, err
 		}
-		var nodes []*brisk.Node
-		ok := true
-		for i := 0; i < n; i++ {
-			node, err := brisk.ConnectNode(brisk.NodeOptions{
-				ManagerAddr:   mgr.Addr(),
-				FlushInterval: time.Millisecond,
-				PollInterval:  100 * time.Microsecond,
-				Logf:          quiet,
-			})
-			if err != nil {
-				ok = false
-				break
-			}
-			nodes = append(nodes, node)
+		elapsed, err := rig.Push(perNodeEvents)
+		rig.Close()
+		if err != nil {
+			return nil, fmt.Errorf("bench: scale n=%d: %w", n, err)
 		}
-		if !ok {
-			mgr.Close()
-			return nil, fmt.Errorf("bench: node connect failed at n=%d", n)
-		}
-		total := n * perNodeEvents
-		start := time.Now()
-		var wg sync.WaitGroup
-		for _, node := range nodes {
-			wg.Add(1)
-			go func(node *brisk.Node) {
-				defer wg.Done()
-				s := node.NewSensor("scale", brisk.SensorOptions{RingBytes: 1 << 22})
-				for i := 0; i < perNodeEvents; i++ {
-					for !s.Notice6i(1, int32(i), 2, 3, 4, 5, 6) {
-						runtime.Gosched()
-					}
-				}
-				node.Flush()
-			}(node)
-		}
-		wg.Wait()
-		deadline := time.Now().Add(180 * time.Second)
-		for int(mgr.Stats().Received) < total && time.Now().Before(deadline) {
-			for _, node := range nodes {
-				node.Flush()
-			}
-			time.Sleep(time.Millisecond)
-		}
-		elapsed := time.Since(start)
-		recv := mgr.Stats().Received
-		for _, node := range nodes {
-			node.Close()
-		}
-		mgr.Close()
-		if int(recv) < total {
-			return nil, fmt.Errorf("bench: scale n=%d received %d of %d", n, recv, total)
-		}
-		agg := float64(total) / elapsed.Seconds()
+		agg := float64(n*perNodeEvents) / elapsed.Seconds()
 		rows = append(rows, ScaleRow{Nodes: n, AggregatePS: agg, PerNodePS: agg / float64(n)})
 	}
 	return rows, nil
@@ -313,32 +306,18 @@ func RunEXSUtil(rates []int, dur time.Duration) ([]UtilRow, error) {
 			return nil, err
 		}
 		// Full pipeline.
-		mgr, err := brisk.StartManager(brisk.ManagerOptions{
-			MergeInterval: 2 * time.Millisecond,
-			BufferRecords: 1024,
-			Logf:          quiet,
-		})
+		rig, err := StartRig(brisk.ManagerOptions{MergeInterval: 2 * time.Millisecond, BufferRecords: 1024},
+			brisk.NodeOptions{FlushInterval: 5 * time.Millisecond}, 1)
 		if err != nil {
 			return nil, err
 		}
-		node, err := brisk.ConnectNode(brisk.NodeOptions{
-			ManagerAddr:   mgr.Addr(),
-			FlushInterval: 5 * time.Millisecond,
-			Logf:          quiet,
-		})
-		if err != nil {
-			mgr.Close()
-			return nil, err
-		}
-		s := node.NewSensor("util", brisk.SensorOptions{RingBytes: 1 << 22})
-		l := &workload.Looper{Sensor: s, Event: 1, Rate: rate}
+		l := &workload.Looper{Sensor: rig.sensors[0], Event: 1, Rate: rate}
 		c0 := cpuTime()
 		start := time.Now()
 		l.RunFor(dur)
 		elapsed := time.Since(start)
 		full := cpuTime() - c0
-		node.Close()
-		mgr.Close()
+		rig.Close()
 
 		totalPct := 100 * full.Seconds() / elapsed.Seconds()
 		exsPct := 100 * (full - base).Seconds() / elapsed.Seconds()
@@ -409,42 +388,18 @@ func RunBatchAblation(events int) ([]BatchRow, error) {
 	}
 	var rows []BatchRow
 	for _, bb := range []int{512, 2048, 16384, 65536} {
-		mgr, err := brisk.StartManager(brisk.ManagerOptions{
-			MergeInterval: time.Millisecond,
-			BufferRecords: 1024,
-			Logf:          quiet,
-		})
+		nopts := pushNode
+		nopts.BatchBytes = bb
+		rig, err := StartRig(brisk.ManagerOptions{MergeInterval: time.Millisecond, BufferRecords: 1024}, nopts, 1)
 		if err != nil {
 			return nil, err
 		}
-		node, err := brisk.ConnectNode(brisk.NodeOptions{
-			ManagerAddr:   mgr.Addr(),
-			BatchBytes:    bb,
-			FlushInterval: time.Millisecond,
-			PollInterval:  100 * time.Microsecond,
-			Logf:          quiet,
-		})
+		elapsed, err := rig.Push(events)
+		batches := rig.Nodes[0].Stats().Batches
+		rig.Close()
 		if err != nil {
-			mgr.Close()
 			return nil, err
 		}
-		s := node.NewSensor("ba", brisk.SensorOptions{RingBytes: 1 << 22})
-		start := time.Now()
-		for i := 0; i < events; i++ {
-			for !s.Notice6i(1, int32(i), 0, 0, 0, 0, 0) {
-				runtime.Gosched()
-			}
-		}
-		node.Flush()
-		deadline := time.Now().Add(120 * time.Second)
-		for int(mgr.Stats().Received) < events && time.Now().Before(deadline) {
-			node.Flush()
-			time.Sleep(time.Millisecond)
-		}
-		elapsed := time.Since(start)
-		batches := node.Stats().Batches
-		node.Close()
-		mgr.Close()
 		rows = append(rows, BatchRow{
 			BatchBytes: bb,
 			EventsPS:   float64(events) / elapsed.Seconds(),

@@ -105,7 +105,7 @@ func RunSorterStage(shards, sources, perSource int) (IngestResult, error) {
 	}
 	return IngestResult{
 		Name:            fmt.Sprintf("sorter/shards=%d", shards),
-		Sessions:        sources,
+		Sources:         sources,
 		Shards:          shards,
 		Records:         total,
 		ElapsedMicros:   elapsed.Microseconds(),
@@ -116,34 +116,19 @@ func RunSorterStage(shards, sources, perSource int) (IngestResult, error) {
 
 // RunSorterSuite runs the sorter-stage benchmark at each shard count.
 func RunSorterSuite(shardCounts []int, sources, perSource int) ([]IngestResult, error) {
-	if len(shardCounts) == 0 {
-		shardCounts = []int{1, 2, 4, 8}
-	}
-	var out []IngestResult
-	for _, n := range shardCounts {
-		r, err := RunSorterStage(n, sources, perSource)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	return runSuite(shardCounts, func(n int) (IngestResult, error) {
+		return RunSorterStage(n, sources, perSource)
+	})
 }
 
-// SorterTable renders the sorter-stage suite. Skipped configurations
-// render their skip reason in place of numbers; WriteBenchFile drops
-// them from the JSON entirely.
+// SorterTable renders the sorter-stage suite.
 func SorterTable(rows []IngestResult) *Table {
 	t := &Table{
 		Title:  "sorter: shard→merge stage throughput vs shard count",
 		Header: []string{"shards", "sources", "records", "elapsed", "records/s", "allocs/record"},
 	}
 	for _, r := range rows {
-		if r.Skipped != "" {
-			t.Add(r.Shards, "-", "-", "-", "SKIP: "+r.Skipped, "-")
-			continue
-		}
-		t.Add(r.Shards, r.Sessions, r.Records,
+		t.Add(r.Shards, r.Sources, r.Records,
 			(time.Duration(r.ElapsedMicros) * time.Microsecond).Round(time.Millisecond),
 			r.RecordsPerSec, r.AllocsPerRecord)
 	}

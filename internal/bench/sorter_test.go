@@ -2,7 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"os"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -21,14 +24,16 @@ func TestRunSorterStage(t *testing.T) {
 	}
 }
 
-// TestWriteBenchFileOmitsSkippedRows pins the bugfix: a skipped
-// configuration is announced on the rendered table but never written to
-// the JSON body, so downstream tooling cannot divide by its zero counts.
-func TestWriteBenchFileOmitsSkippedRows(t *testing.T) {
+// TestWriteBenchFileRoundTrip: every row field and the env stamp survive
+// a write and a read, a file of another schema is refused, and the
+// committed baseline still reads with its session counts.
+func TestWriteBenchFileRoundTrip(t *testing.T) {
 	path := t.TempDir() + "/bench.json"
 	rows := []IngestResult{
-		{Name: "sorter/shards=1", Records: 100, RecordsPerSec: 1},
-		{Name: "sorter/shards=4", Skipped: "GOMAXPROCS=1 < 4"},
+		{Name: "ingest/sessions=8", Sessions: 8, Records: 1024, ElapsedMicros: 500,
+			RecordsPerSec: 2.048e6, MBPerSec: 81.9, AllocsPerRecord: 0.5},
+		{Name: "subscribe/subscribers=64", Sessions: 1, Subscribers: 64, Records: 256, RecordsPerSec: 1},
+		{Name: "sorter/shards=1", Sources: 8, Shards: 1, Records: 100, RecordsPerSec: 1},
 	}
 	if err := WriteBenchFile(path, rows); err != nil {
 		t.Fatal(err)
@@ -37,8 +42,35 @@ func TestWriteBenchFileOmitsSkippedRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Results) != 1 || f.Results[0].Name != "sorter/shards=1" {
-		t.Fatalf("bench file kept %+v, want only the measured row", f.Results)
+	if !reflect.DeepEqual(f.Results, rows) {
+		t.Fatalf("rows after round trip:\n%+v\nwant\n%+v", f.Results, rows)
+	}
+	if want := (BenchEnv{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}); f.Env == nil || *f.Env != want {
+		t.Fatalf("env stamp %+v, want %+v", f.Env, want)
+	}
+
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := strings.Replace(string(b), fmt.Sprintf(`"schema": %d`, BenchSchema), `"schema": 99`, 1)
+	if err := os.WriteFile(path, []byte(other), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBenchFile(path); err == nil || !strings.Contains(err.Error(), "schema 99") {
+		t.Fatalf("schema 99 file read with err = %v", err)
+	}
+
+	base, err := ReadBenchFile("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sessions []int
+	for _, r := range base.Results {
+		sessions = append(sessions, r.Sessions)
+	}
+	if !reflect.DeepEqual(sessions, []int{1, 8}) {
+		t.Fatalf("baseline session counts %v, want [1 8]", sessions)
 	}
 }
 
