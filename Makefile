@@ -16,14 +16,15 @@ ifeq ($(COVER),1)
 TESTFLAGS += -coverprofile=coverage.out -covermode=atomic
 endif
 
-.PHONY: all check build vet staticcheck staticcheck-strict test test-race race bench bench-check sync-gate scenario-smoke scenario-full fuzz fuzz-smoke eval examples docs-check clean
+.PHONY: all check build vet staticcheck staticcheck-strict test test-race race bench bench-check bench-smoke sync-gate scenario-smoke scenario-full fuzz fuzz-smoke eval examples docs-check clean
 
 all: build vet test test-race
 
 # The default gate: compile, lint, docs, tests, perf regression, the
-# smoke slice of the scenario matrix, and a short fuzz smoke over the
-# wire decoder and the scenario-spec parser.
-check: build vet staticcheck docs-check test bench-check scenario-smoke fuzz-smoke
+# perfbench correctness smoke, the smoke slice of the scenario matrix,
+# and a short fuzz smoke over the wire decoder and the scenario-spec
+# parser.
+check: build vet staticcheck docs-check test bench-check bench-smoke scenario-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -81,6 +82,17 @@ bench:
 bench-check:
 	$(GO) test -run 'TestAllocs' ./internal/record ./internal/ols ./internal/picl ./internal/shm ./internal/wire ./internal/clocksync
 	$(GO) run ./cmd/briskbench benchgate -baseline BENCH_baseline.json -out BENCH_current.json -maxloss $(BENCH_MAXLOSS)
+
+# Correctness smoke of the end-to-end benchmark: a short run of each
+# perfbench workload. perfbench checks its output (conservation, order,
+# exactly-once) and exits non-zero when a check fails or the offered load
+# is invalid, so this catches pipeline changes the unit suites miss.
+# Numbers from a 2 s run are not comparable; only the exit status counts.
+bench-smoke:
+	@for w in flood paced fanin; do \
+		echo "bench-smoke: $$w"; \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 || exit 1; \
+	done
 
 # Probe-efficiency gate: the model-based sync scheduler must hit the E6
 # skew bounds at ≥5× fewer probe RTTs than fixed cadence on both the

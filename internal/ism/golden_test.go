@@ -16,7 +16,7 @@ import (
 )
 
 // goldenTrace runs a fixed-seed workload through a full manager — raw
-// session connections, per-session decode workers, sorter, sinks — and
+// session connections decoding on their readers, sorter, sinks — and
 // returns the PICL trace it produced. The manager clock is pinned below
 // every record timestamp so nothing is emitted until Close's ordered
 // flush; unique timestamps then make the merged order, and therefore the
@@ -87,7 +87,7 @@ func goldenTraceSync(t *testing.T, shards int, tap SinkTap, sync bool) ([]byte, 
 
 	// Sessions attach sequentially so node ids are deterministic. Every
 	// batch is acked before the next is sent, so by the time Close runs
-	// the ordered shutdown (readers → workers → merger flush), each
+	// the ordered shutdown (readers → merger flush), each
 	// record is queued and none can be lost.
 	const batchLen = 7
 	for src := int32(1); src <= sources; src++ {

@@ -54,15 +54,12 @@ type Config struct {
 	// OLSShards is the number of independent on-line sorter shards.
 	// Sources are partitioned across shards (each with its own heap and
 	// adaptive time frame) and the shard outputs are recombined through
-	// a timestamp-keyed k-way merge, so decode workers push in parallel
-	// instead of funnelling through one merge channel. 0 or 1 means a
-	// single sorter — the exact unsharded code path; negative means one
-	// shard per CPU (GOMAXPROCS). Values above GOMAXPROCS are honoured
-	// but add no parallelism.
+	// a timestamp-keyed k-way merge, so connection readers push in
+	// parallel instead of funnelling through one merge channel. 0 or 1
+	// means a single sorter — the exact unsharded code path; negative
+	// means one shard per CPU (GOMAXPROCS). Values above GOMAXPROCS are
+	// honoured but add no parallelism.
 	OLSShards int
-	// CRETimeout bounds retention of unmatched causal records (µs);
-	// 0 means cre.DefaultTimeout.
-	CRETimeout int64
 	// MergeInterval is how often the merger extracts aged records; it is
 	// the manager-side latency-control knob. Default 5 ms. (The paper's
 	// worst-case latency lower bound comes from exactly this kind of
@@ -83,28 +80,15 @@ type Config struct {
 	// ProbeTimeout bounds one probe exchange. Default 250 ms.
 	ProbeTimeout time.Duration
 	// HeartbeatInterval is the per-connection PING period. A sensor that
-	// sends nothing (not even a PONG) for HeartbeatMisses intervals is
+	// sends nothing (not even a PONG) for heartbeatMisses (3) intervals is
 	// declared dead and disconnected, so half-open links from crashed or
 	// partitioned nodes cannot pin queue state forever. Default 1 s;
 	// negative disables heartbeats.
 	HeartbeatInterval time.Duration
-	// HeartbeatMisses is how many silent intervals kill a peer. Default 3.
-	HeartbeatMisses int
 	// SessionRetention bounds how long a detached session (its node id
 	// and dedupe state) is kept for resumption after its connection
 	// drops. Default 2 min; negative drops sessions immediately.
 	SessionRetention time.Duration
-	// DecodeQueueDepth is the per-session decode-worker queue depth in
-	// batches: how many received-but-undecoded data batches may be
-	// buffered per session before its reader blocks, pushing backpressure
-	// into TCP. N sessions decode on N workers in parallel; the merger
-	// stays single-threaded. Default 4.
-	DecodeQueueDepth int
-	// SinkBatchRecords caps how many sorted records accumulate before an
-	// intra-merge sink flush. Larger batches amortize the per-flush costs
-	// (one clock read, one memory-buffer lock) over more records at the
-	// price of peak latency jitter. Default 512.
-	SinkBatchRecords int
 	// AckHighWater and AckLowWater are sorter-occupancy watermarks (in
 	// records) for the ack gate. When the sorter's buffered count rises to
 	// AckHighWater the manager stops acknowledging data batches (a
@@ -163,6 +147,15 @@ type Config struct {
 
 // DefaultTraceSampleEvery is the default pipeline-trace sampling period.
 const DefaultTraceSampleEvery = 64
+
+const (
+	// heartbeatMisses is how many silent heartbeat intervals kill a peer.
+	heartbeatMisses = 3
+	// sinkBatchRecords caps how many sorted records accumulate before an
+	// intra-merge sink flush: one clock read and one memory-buffer lock
+	// are amortized over the batch, at the price of peak latency jitter.
+	sinkBatchRecords = 512
+)
 
 // SinkTap consumes the sorted stream at the sink stage — the
 // subscription engine's attachment point (see Config.Tap).
@@ -253,8 +246,12 @@ type conn struct {
 	pingSeq  atomic.Uint32
 	// acked is set once HELLO_ACK is on the wire. The conn is published
 	// in m.conns before that, and the sensor's handshake expects
-	// HELLO_ACK as the first frame, so probes and pings wait for it.
+	// HELLO_ACK as the first frame, so probes, pings and released acks
+	// wait for it.
 	acked atomic.Bool
+	// done is closed when the connection's reader returns; a resuming
+	// HELLO waits on it before reading the session's lastSeq.
+	done chan struct{}
 }
 
 // session is the durable identity of one external sensor across
@@ -272,53 +269,19 @@ type session struct {
 
 	mu         sync.Mutex
 	name       string
-	lastSeq    uint64 // highest batch sequence accepted into the merger
+	lastSeq    uint64 // highest batch sequence handed to the sorter
 	cur        *conn  // attached connection, nil while detached
 	detachedAt time.Time
 
-	// work feeds the session's decode worker; free recycles payload
-	// buffers back to the reader so a steady batch stream is copied zero
-	// times and allocated never. Both channels outlive any one connection:
-	// the worker is per session, which is what preserves per-source FIFO
-	// order across a resume.
-	work     chan pending
-	free     chan []byte
-	quit     chan struct{}
-	stopOnce sync.Once
-
-	// inflight counts records accepted from this session's link but not
-	// yet through the sorter (queued for decode or in the merge channel);
-	// the credit grant subtracts it so a sensor's window shrinks as its
-	// backlog inside the manager grows.
+	// inflight counts records decoded from this session's link but not
+	// yet through the sorter (in the merge channel); the credit grant
+	// subtracts it so a sensor's window shrinks as its backlog inside the
+	// manager grows.
 	inflight atomic.Int64
 	// deferred holds the highest batch sequence whose ack the overload
 	// gate withheld (0 = none). The merger releases it when the sorter
 	// drains below the low watermark.
 	deferred atomic.Uint64
-}
-
-// stop retires the session's decode worker (it drains queued work first).
-func (s *session) stop() { s.stopOnce.Do(func() { close(s.quit) }) }
-
-// severCurrent kills the session's attached connection, if any; the
-// decode worker uses it to surface a malformed batch as a link error.
-func (s *session) severCurrent() {
-	s.mu.Lock()
-	c := s.cur
-	s.mu.Unlock()
-	if c != nil {
-		c.gone.Store(true)
-		c.raw.Close()
-	}
-}
-
-// pending is one received-but-undecoded data batch queued to a session's
-// decode worker. relay marks a RelayBatch payload: node-prefixed entries
-// carrying their own origin ids instead of the session's node.
-type pending struct {
-	count   uint32
-	payload []byte
-	relay   bool
 }
 
 // Manager is the ISM. Create with New, start with Serve (or let New's
@@ -336,15 +299,13 @@ type Manager struct {
 	sessions map[uint64]*session
 	nextNode int32
 
-	merge       chan srcBatch
-	extractNow  chan struct{} // sharded mode: wakes the merger when a backlog builds
-	syncNow     chan struct{}
-	done        chan struct{}
-	stopWorkers chan struct{} // closed after the readers exit; workers drain and stop
-	wg          sync.WaitGroup
-	wgConns     sync.WaitGroup // connection reader goroutines
-	wgWorkers   sync.WaitGroup // per-session decode workers
-	closed      atomic.Bool
+	merge      chan srcBatch
+	extractNow chan struct{} // sharded mode: wakes the merger when a backlog builds
+	syncNow    chan struct{}
+	done       chan struct{}
+	wg         sync.WaitGroup
+	wgConns    sync.WaitGroup // connection reader goroutines
+	closed     atomic.Bool
 
 	reg          *metrics.Registry
 	tracer       *metrics.StageTracer
@@ -356,8 +317,8 @@ type Manager struct {
 
 	// sorterMu guards the merger-owned pipeline state downstream of the
 	// sorter (matcher, out, sinkBufs, emitNow). The sorter itself locks
-	// internally per shard: with one shard pushes still funnel through
-	// the merge channel, with several the decode workers push into their
+	// internally per shard: with one shard pushes funnel through the
+	// merge channel, with several the connection readers push into their
 	// shards directly and contend only inside ols.Sharded.
 	sorterMu sync.Mutex
 	sorter   *ols.Sharded
@@ -369,20 +330,15 @@ type Manager struct {
 	// Batched sink delivery, owned by the merge goroutine (sorterMu).
 	// out collects fully-processed records between flushes; sinkBufs holds
 	// one recycled encode buffer per record of the largest flush so far.
-	out       []record.Record
-	sinkBufs  [][]byte
-	emitNow   int64 // manager clock for the current merge event
-	sinkBatch int
-
-	workersLive atomic.Int64
-	queueStalls *metrics.Counter
-	sinkBatchH  *metrics.Histogram
+	out        []record.Record
+	sinkBufs   [][]byte
+	emitNow    int64 // manager clock for the current merge event
+	sinkBatchH *metrics.Histogram
 
 	// Credit-based flow control. Gate transitions run under gateMu —
-	// with one shard only the merger takes it, with several every decode
-	// worker updates the gate after its pushes; the per-connection
-	// readers read the atomics to size (or defer) each ack's window
-	// grant.
+	// with one shard only the merger takes it, with several every
+	// connection reader updates the gate after its pushes; the readers
+	// read the atomics to size (or defer) each ack's window grant.
 	flowEnabled bool
 	ackHigh     int
 	ackLow      int
@@ -433,8 +389,8 @@ const (
 	stageSinkDeliver        // record delivered to the sinks
 )
 
-// srcBatch hands one decoded batch from a session's decode worker to the
-// merge goroutine. The batch pointer comes from record.GetBatch; the
+// srcBatch hands one decoded batch from a connection reader to the merge
+// goroutine. The batch pointer comes from record.GetBatch; the
 // merger returns it to the pool after pushing every record, and credits
 // the records back against the session's inflight count. mixed marks a
 // relay batch whose records carry their own origins in rec.Node.
@@ -473,17 +429,8 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.HeartbeatInterval == 0 {
 		cfg.HeartbeatInterval = time.Second
 	}
-	if cfg.HeartbeatMisses <= 0 {
-		cfg.HeartbeatMisses = 3
-	}
 	if cfg.SessionRetention == 0 {
 		cfg.SessionRetention = 2 * time.Minute
-	}
-	if cfg.DecodeQueueDepth <= 0 {
-		cfg.DecodeQueueDepth = 4
-	}
-	if cfg.SinkBatchRecords <= 0 {
-		cfg.SinkBatchRecords = 512
 	}
 	if cfg.AckHighWater < 0 {
 		cfg.AckHighWater = 0 // explicit disable
@@ -525,10 +472,8 @@ func New(cfg Config) (*Manager, error) {
 		extractNow:  make(chan struct{}, 1),
 		syncNow:     make(chan struct{}, 1),
 		done:        make(chan struct{}),
-		stopWorkers: make(chan struct{}),
 		sorter:      ols.NewSharded(cfg.Sorter, cfg.OLSShards),
 		shardN:      cfg.OLSShards,
-		sinkBatch:   cfg.SinkBatchRecords,
 		flowEnabled: cfg.AckHighWater > 0,
 		ackHigh:     cfg.AckHighWater,
 		ackLow:      cfg.AckLowWater,
@@ -538,7 +483,7 @@ func New(cfg Config) (*Manager, error) {
 	m.headroom.Store(int64(m.ackHigh))
 	m.registerMetrics(cfg.Metrics)
 	m.matcher = cre.New(cre.Config{
-		Timeout: cfg.CRETimeout,
+		Timeout: cre.DefaultTimeout,
 		OnTachyon: func(int64, *record.Record) {
 			m.tachyonSyncs.Inc()
 			select {
@@ -606,9 +551,6 @@ func (m *Manager) registerMetrics(reg *metrics.Registry) {
 		Help: "largest predicted one-sigma offset uncertainty across slaves at the last sync round",
 		Unit: "microseconds"})
 	m.driftGauges = make(map[int32]*atomic.Uint64)
-	m.queueStalls = reg.Counter(metrics.Desc{Name: "brisk_ism_decode_queue_stalls_total",
-		Help: "data batches that found their session's decode queue full (the reader blocked, pushing backpressure into TCP)",
-		Unit: "batches"})
 	m.sinkBatchH = reg.Histogram(metrics.Desc{Name: "brisk_ism_sink_batch_records",
 		Help: "records delivered per batched sink flush", Unit: "records"})
 	m.creditWindowH = reg.Histogram(metrics.Desc{Name: "brisk_ism_credit_window",
@@ -634,9 +576,6 @@ func (m *Manager) registerMetrics(reg *metrics.Registry) {
 			}
 			return 0
 		})
-	reg.GaugeFunc(metrics.Desc{Name: "brisk_ism_decode_workers",
-		Help: "per-session decode workers currently running"},
-		func() float64 { return float64(m.workersLive.Load()) })
 	reg.GaugeFunc(metrics.Desc{Name: "brisk_ism_connected_sensors",
 		Help: "external sensors currently attached"},
 		func() float64 {
@@ -829,7 +768,9 @@ func (m *Manager) handleConn(raw net.Conn) {
 		wc:      wc,
 		raw:     raw,
 		replies: make(chan *wire.ProbeReply, 8),
+		done:    make(chan struct{}),
 	}
+	defer close(c.done)
 	c.lastRecv.Store(time.Now().UnixNano())
 
 	var sess *session
@@ -839,7 +780,7 @@ func (m *Manager) handleConn(raw net.Conn) {
 	if hello.Session != 0 {
 		if s, ok := m.sessions[hello.Session]; ok && hello.Resume {
 			// Reattach: same node id, dedupe state intact. If the old
-			// connection is still draining (half-open link the sensor gave
+			// connection is still attached (half-open link the sensor gave
 			// up on first), evict it — the session follows the newest link.
 			sess = s
 			resumed = true
@@ -847,12 +788,7 @@ func (m *Manager) handleConn(raw net.Conn) {
 	}
 	if sess == nil {
 		m.nextNode++
-		sess = &session{
-			node: m.nextNode,
-			work: make(chan pending, m.cfg.DecodeQueueDepth),
-			free: make(chan []byte, m.cfg.DecodeQueueDepth+2),
-			quit: make(chan struct{}),
-		}
+		sess = &session{node: m.nextNode}
 		if hello.Session != 0 {
 			sess.id = hello.Session
 			m.sessions[hello.Session] = sess
@@ -868,8 +804,6 @@ func (m *Manager) handleConn(raw net.Conn) {
 				Help: "replayed batches dropped by the sequence filter, per session",
 				Unit: "batches", Labels: labels})
 		}
-		m.wgWorkers.Add(1)
-		go m.decodeLoop(sess)
 	}
 	c.node = sess.node
 	c.sess = sess
@@ -877,7 +811,6 @@ func (m *Manager) handleConn(raw net.Conn) {
 	evict = sess.cur
 	sess.cur = c
 	sess.name = hello.Name
-	lastSeq := sess.lastSeq
 	sess.mu.Unlock()
 	m.conns[c.node] = c
 	m.attachedN.Store(int64(len(m.conns)))
@@ -889,10 +822,17 @@ func (m *Manager) handleConn(raw net.Conn) {
 		c.gone.Store(true)
 		raw.Close()
 	}
-	if evict != nil && evict != c {
+	if evict != nil {
+		// Wait for the evicted reader to finish the batch it may be handing
+		// to the sorter: only then is lastSeq final, so the resumed sensor
+		// replays exactly the batches the old link did not deliver.
 		evict.gone.Store(true)
 		evict.raw.Close()
+		<-evict.done
 	}
+	sess.mu.Lock()
+	lastSeq := sess.lastSeq
+	sess.mu.Unlock()
 	if resumed {
 		m.resumed.Inc()
 	}
@@ -911,14 +851,9 @@ func (m *Manager) handleConn(raw net.Conn) {
 			sess.detachedAt = time.Now()
 		}
 		sess.mu.Unlock()
-		if sess.id == 0 {
-			// Sessionless sensors die with their connection; retire the
-			// decode worker once it drains what we queued.
-			sess.stop()
-		} else if m.cfg.SessionRetention < 0 {
+		if sess.id != 0 && m.cfg.SessionRetention < 0 {
 			delete(m.sessions, sess.id)
 			m.unregisterSession(sess)
-			sess.stop()
 		}
 		m.mu.Unlock()
 	}()
@@ -951,12 +886,12 @@ func (m *Manager) handleConn(raw net.Conn) {
 		c.lastRecv.Store(time.Now().UnixNano())
 		switch t := msg.(type) {
 		case *wire.DataBatch:
-			if !m.acceptBatch(wc, sess, t.Seq, t.Count, &t.Payload, false) {
+			if !m.acceptBatch(wc, sess, t.Seq, t.Count, t.Payload, false) {
 				return
 			}
 		case *wire.RelayBatch:
 			m.relayBatches.Inc()
-			if !m.acceptBatch(wc, sess, t.Seq, t.Count, &t.Payload, true) {
+			if !m.acceptBatch(wc, sess, t.Seq, t.Count, t.Payload, true) {
 				return
 			}
 		case *wire.ProbeReply:
@@ -979,74 +914,104 @@ func (m *Manager) handleConn(raw net.Conn) {
 }
 
 // acceptBatch runs the shared ingest path for one DataBatch or RelayBatch
-// frame: dedupe by session sequence, hand the payload to the session's
-// decode worker (swapping a recycled buffer into the reused wire message
-// via payload), and ack or defer. Returns false when the connection must
-// be dropped.
-func (m *Manager) acceptBatch(wc *wire.Conn, sess *session, seq uint64, count uint32, payload *[]byte, relay bool) bool {
+// frame on the connection's reader: dedupe by session sequence, decode
+// into a pooled batch, hand it to the sorter, then record the sequence
+// and ack or defer. relay marks a RelayBatch payload: node-prefixed
+// entries carrying their own origin ids instead of the session's node.
+// Returns false when the connection must be dropped.
+func (m *Manager) acceptBatch(wc *wire.Conn, sess *session, seq uint64, count uint32, payload []byte, relay bool) bool {
 	m.batches.Inc()
-	m.bytesIn.Add(uint64(len(*payload)))
-	if seq != 0 && sess.id != 0 {
+	m.bytesIn.Add(uint64(len(payload)))
+	tracked := seq != 0 && sess.id != 0
+	if tracked {
 		sess.mu.Lock()
-		dup := seq <= sess.lastSeq
 		high := sess.lastSeq
 		sess.mu.Unlock()
-		if dup {
+		if seq <= high {
 			// Replay of a batch merged before the link broke. Re-ack so
 			// the sender can release it (or defer the re-ack like any
 			// other when the gate is closed).
 			m.deduped.Inc()
-			if sess.dedupedC != nil {
-				sess.dedupedC.Inc()
-			}
+			sess.dedupedC.Inc()
 			return m.ackOrDefer(wc, sess, high) == nil
 		}
 	}
-	// Hand the payload to the session's decode worker. RecvReuse lets us
-	// take ownership by swapping in a recycled buffer: the next frame
-	// decodes into that instead, so a steady stream allocates no payload
-	// storage at all.
-	pb := pending{count: count, payload: *payload, relay: relay}
-	select {
-	case *payload = <-sess.free:
-	default:
-		*payload = nil
+	bp := record.GetBatch()
+	var err error
+	if relay {
+		*bp, err = record.DecodeNodeAppend((*bp)[:0], payload)
+	} else {
+		*bp, err = record.DecodeAppend((*bp)[:0], payload)
 	}
-	sess.inflight.Add(int64(pb.count))
-	select {
-	case sess.work <- pb:
-	default:
-		// Queue full: the decode worker is behind. Block here so
-		// backpressure reaches the sender through TCP.
-		m.queueStalls.Inc()
-		select {
-		case sess.work <- pb:
-		case <-sess.quit:
-			return false
-		case <-m.done:
-			return false
+	recs := *bp
+	if err == nil && uint32(len(recs)) != count {
+		err = fmt.Errorf("batch declared %d records, contained %d", count, len(recs))
+	}
+	if err != nil {
+		// Drop the link, but record the sequence first: the resumed
+		// sensor must not replay the poison batch forever.
+		record.PutBatch(bp)
+		m.logf("ism: node %d: bad batch: %v", sess.node, err)
+		if tracked {
+			sess.setLastSeq(seq)
 		}
+		return false
+	}
+	m.received.Add(uint64(len(recs)))
+	if m.tracer != nil && len(recs) > 0 && m.tracer.ShouldSample(stageIngest) {
+		if r := &recs[0]; r.HasTS {
+			m.tracer.Observe(stageIngest, m.clock.NowMicros()-r.TS)
+		}
+	}
+	if m.shardN > 1 {
+		// Sharded mode: push straight into this source's sorter shard
+		// instead of funnelling through the merge channel — readers for
+		// sources on different shards do not serialize. Extraction (and
+		// everything downstream of it) stays with the merger; wake it when
+		// a sink batch's worth has built up so backlog drains at ingest
+		// rate, not merge-tick rate.
+		now := m.clock.NowMicros()
+		if relay {
+			m.sorter.PushMixed(recs, now)
+		} else {
+			m.sorter.PushBatch(sess.node, recs, now)
+		}
+		record.PutBatch(bp)
+		m.updateGate(m.sorter.Buffered(), now)
+		if m.sorter.Buffered() >= sinkBatchRecords {
+			select {
+			case m.extractNow <- struct{}{}:
+			default:
+			}
+		}
+	} else {
+		// The merger owns the batch from here. A full merge channel blocks
+		// this reader, pushing backpressure into TCP; the merger runs until
+		// every reader has returned, so the send always completes.
+		sess.inflight.Add(int64(len(recs)))
+		m.merge <- srcBatch{node: sess.node, batch: bp, sess: sess, mixed: relay}
 	}
 	if sess.batchesC != nil {
 		sess.batchesC.Inc()
 	}
-	// Ack once the batch is queued: the worker owns it from here and
-	// shutdown drains the queue, so an acked batch is never lost — under
-	// overload it is either merged or represented by a loss-marker
-	// record, never silently discarded. When the sorter is past its high
-	// watermark the ack is deferred instead: the sender's credit runs dry
-	// and it pauses until the merger releases the ack.
-	if seq != 0 && sess.id != 0 {
-		sess.mu.Lock()
-		if seq > sess.lastSeq {
-			sess.lastSeq = seq
-		}
-		sess.mu.Unlock()
-		if err := m.ackOrDefer(wc, sess, seq); err != nil {
-			return false
-		}
+	if !tracked {
+		return true
 	}
-	return true
+	// Ack once the sorter (or the merge channel) holds the batch, so an
+	// acked batch is never lost: under overload it is either merged or
+	// represented by a loss-marker record. When the sorter is past its
+	// high watermark the ack is deferred instead: the sender's credit runs
+	// dry and it pauses until the merger releases the ack.
+	sess.setLastSeq(seq)
+	return m.ackOrDefer(wc, sess, seq) == nil
+}
+
+// setLastSeq records seq as the session's high-water mark. Only the
+// attached connection's reader calls it, in sequence order.
+func (s *session) setLastSeq(seq uint64) {
+	s.mu.Lock()
+	s.lastSeq = seq
+	s.mu.Unlock()
 }
 
 // unregisterSession drops a dead session's labeled series so the registry
@@ -1113,7 +1078,8 @@ func (m *Manager) ackOrDefer(wc *wire.Conn, s *session, seq uint64) error {
 // outside the sorter locks so releasing deferred acks (which takes m.mu
 // and writes to peer connections) never extends a merge critical
 // section. gateMu serializes concurrent callers — in sharded mode every
-// decode worker updates the gate after its pushes, not just the merger.
+// connection reader updates the gate after its pushes, not just the
+// merger.
 func (m *Manager) updateGate(buffered int, now int64) {
 	if !m.flowEnabled {
 		return
@@ -1157,7 +1123,7 @@ func (m *Manager) releaseDeferred() {
 	m.mu.Unlock()
 	for _, c := range conns {
 		s := c.sess
-		if s == nil || c.gone.Load() {
+		if s == nil || c.gone.Load() || !c.acked.Load() {
 			continue
 		}
 		seq := s.deferred.Load()
@@ -1213,111 +1179,6 @@ func (m *Manager) srcDropCounter(src int32) *metrics.Counter {
 	return c
 }
 
-// decodeLoop is one session's decode worker: it turns queued wire payloads
-// into pooled record batches and feeds the merger. One worker per session —
-// not per connection — so N sessions decode in parallel while each source's
-// batches stay FIFO, across reconnects included. The worker outlives its
-// connections and stops either with its session or at shutdown (after the
-// readers are gone), draining queued work first so acked batches survive.
-func (m *Manager) decodeLoop(s *session) {
-	defer m.wgWorkers.Done()
-	m.workersLive.Add(1)
-	defer m.workersLive.Add(-1)
-	for {
-		select {
-		case pb := <-s.work:
-			m.decodeOne(s, pb)
-		case <-s.quit:
-			m.drainWork(s)
-			return
-		case <-m.stopWorkers:
-			m.drainWork(s)
-			return
-		}
-	}
-}
-
-// drainWork decodes everything still queued; the readers have stopped, so
-// the queue can only shrink.
-func (m *Manager) drainWork(s *session) {
-	for {
-		select {
-		case pb := <-s.work:
-			m.decodeOne(s, pb)
-		default:
-			return
-		}
-	}
-}
-
-// decodeOne decodes one batch into a pooled record slice and hands it to
-// the merger. The payload buffer goes back to the session's reader; the
-// batch comes back from the merger via the pool. A malformed batch severs
-// the link — it was already acked, so the sensor must not replay the
-// poison frame forever.
-func (m *Manager) decodeOne(s *session, pb pending) {
-	bp := record.GetBatch()
-	var recs []record.Record
-	var err error
-	if pb.relay {
-		recs, err = record.DecodeNodeAppend((*bp)[:0], pb.payload)
-	} else {
-		recs, err = record.DecodeAppend((*bp)[:0], pb.payload)
-	}
-	if err == nil && uint32(len(recs)) != pb.count {
-		err = fmt.Errorf("batch declared %d records, contained %d", pb.count, len(recs))
-	}
-	select {
-	case s.free <- pb.payload[:0]:
-	default:
-	}
-	if err != nil {
-		*bp = recs
-		record.PutBatch(bp)
-		s.inflight.Add(-int64(pb.count))
-		m.logf("ism: node %d: bad batch: %v", s.node, err)
-		s.severCurrent()
-		return
-	}
-	*bp = recs
-	m.received.Add(uint64(len(recs)))
-	if m.tracer != nil && len(recs) > 0 && m.tracer.ShouldSample(stageIngest) {
-		if r := &recs[0]; r.HasTS {
-			m.tracer.Observe(stageIngest, m.clock.NowMicros()-r.TS)
-		}
-	}
-	if m.shardN > 1 {
-		// Sharded mode: push straight into this source's sorter shard
-		// instead of funnelling through the merge channel — decode workers
-		// for sources on different shards no longer serialize. Extraction
-		// (and everything downstream of it) stays with the merger; wake it
-		// when a sink batch's worth has built up so backlog drains at
-		// ingest rate, not merge-tick rate.
-		now := m.clock.NowMicros()
-		if pb.relay {
-			m.sorter.PushMixed(recs, now)
-		} else {
-			m.sorter.PushBatch(s.node, recs, now)
-		}
-		record.PutBatch(bp)
-		s.inflight.Add(-int64(pb.count))
-		m.updateGate(m.sorter.Buffered(), now)
-		if m.sorter.Buffered() >= m.sinkBatch {
-			select {
-			case m.extractNow <- struct{}{}:
-			default:
-			}
-		}
-		return
-	}
-	select {
-	case m.merge <- srcBatch{node: s.node, batch: bp, sess: s, mixed: pb.relay}:
-	case <-m.done:
-		record.PutBatch(bp)
-		s.inflight.Add(-int64(pb.count))
-	}
-}
-
 // mergeLoop is the single goroutine that owns the sorter, the matcher and
 // the sinks.
 func (m *Manager) mergeLoop() {
@@ -1333,9 +1194,9 @@ func (m *Manager) mergeLoop() {
 		case <-ticker.C:
 			m.extractTick()
 		case <-m.done:
-			// The readers and decode workers are gone (Close waits on them
-			// before closing done), so the merge channel can only shrink:
-			// drain it, then flush everything still buffered.
+			// The readers are gone (Close waits on them before closing
+			// done), so the merge channel can only shrink: drain it, then
+			// flush everything still buffered.
 			for {
 				select {
 				case b := <-m.merge:
@@ -1378,8 +1239,8 @@ func (m *Manager) mergeLoop() {
 // extractTick is one merger extraction pass: drain every aged record
 // out of the sorter (merged across shards), tick the matcher, harvest
 // losses, and flush the sinks. With one shard it runs on the merge
-// interval; with several it also runs whenever a decode worker signals
-// a built-up backlog.
+// interval; with several it also runs whenever a connection reader
+// signals a built-up backlog.
 func (m *Manager) extractTick() {
 	now := m.clock.NowMicros()
 	m.sorterMu.Lock()
@@ -1431,11 +1292,13 @@ func (m *Manager) sinkRecord(rec record.Record) {
 }
 
 // collect accumulates one fully-processed record for the next sink flush.
-// The record still borrows sorter-slot Fields storage; that stays valid
-// because nothing is pushed into the sorter before flushSinks runs.
+// The record still borrows sorter Fields storage until flushSinks runs:
+// at one shard a queue slot, which stays valid because one-shard pushes
+// run on this goroutine (the merger); at several, merge staging that
+// only the next extraction reuses.
 func (m *Manager) collect(rec record.Record) {
 	m.out = append(m.out, rec)
-	if len(m.out) >= m.sinkBatch {
+	if len(m.out) >= sinkBatchRecords {
 		m.flushSinks(m.emitNow)
 	}
 }
@@ -1512,7 +1375,7 @@ func (m *Manager) flushSinks(now int64) {
 }
 
 // heartbeatLoop pings every attached sensor each interval and severs
-// peers that have been silent for HeartbeatMisses intervals — the
+// peers that have been silent for heartbeatMisses intervals — the
 // half-open links a stalled network leaves behind. It also expires
 // detached sessions past the retention window.
 func (m *Manager) heartbeatLoop() {
@@ -1525,7 +1388,7 @@ func (m *Manager) heartbeatLoop() {
 			return
 		case <-ticker.C:
 		}
-		deadline := time.Now().Add(-time.Duration(m.cfg.HeartbeatMisses) * m.cfg.HeartbeatInterval).UnixNano()
+		deadline := time.Now().Add(-time.Duration(heartbeatMisses) * m.cfg.HeartbeatInterval).UnixNano()
 		m.mu.Lock()
 		conns := make([]*conn, 0, len(m.conns))
 		for _, c := range m.conns {
@@ -1540,7 +1403,6 @@ func (m *Manager) heartbeatLoop() {
 				if expired {
 					delete(m.sessions, id)
 					m.unregisterSession(s)
-					s.stop()
 					m.logf("ism: session of node %d expired", s.node)
 				}
 			}
@@ -1553,7 +1415,7 @@ func (m *Manager) heartbeatLoop() {
 			if c.lastRecv.Load() < deadline {
 				m.deadPeers.Inc()
 				m.logf("ism: node %d (%s) missed %d heartbeats, disconnecting",
-					c.node, c.name, m.cfg.HeartbeatMisses)
+					c.node, c.name, heartbeatMisses)
 				c.raw.Close() // handleConn's Recv fails and cleans up
 				continue
 			}
@@ -1781,10 +1643,10 @@ func (m *Manager) Stats() Stats {
 }
 
 // Close shuts the manager down in pipeline order: stop accepting, sever
-// the sensors and wait for their readers, retire the decode workers (they
-// drain their queues first), then close done so the merger drains the
-// merge channel and flushes the sorter and sinks. Every batch that was
-// acked before Close is delivered.
+// the sensors and wait for their readers (each finishes handing off the
+// batch it holds), then close done so the merger drains the merge channel
+// and flushes the sorter and sinks. Every batch that was acked before
+// Close is delivered.
 func (m *Manager) Close() error {
 	if m.closed.Swap(true) {
 		return nil
@@ -1797,8 +1659,6 @@ func (m *Manager) Close() error {
 	}
 	m.mu.Unlock()
 	m.wgConns.Wait()
-	close(m.stopWorkers)
-	m.wgWorkers.Wait()
 	close(m.done)
 	m.wg.Wait()
 	return err

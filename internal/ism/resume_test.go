@@ -197,7 +197,7 @@ func TestSequenceDedupeAndResumeHandshake(t *testing.T) {
 	if a := recvAck(t, wc); a.Seq != 1 {
 		t.Fatalf("replay re-ack seq = %d, want 1", a.Seq)
 	}
-	// Decode runs on the session's worker, so Received trails the ack.
+	// Poll: the check should not depend on when the counters move.
 	waitUntil(t, 5*time.Second, "replay dropped", func() bool {
 		st := m.Stats()
 		return st.DedupedBatches == 1 && st.Received == 1
@@ -272,4 +272,114 @@ func TestHeartbeatReapsSilentPeer(t *testing.T) {
 		st := m.Stats()
 		return st.Connected == 0 && st.DeadPeers >= 1
 	})
+}
+
+// TestResumeExactlyOnceUnderBackpressure resumes a session while its old
+// reader is parked mid-hand-off: the test holds sorterMu, so the merger
+// stalls inside its first batch, the merge channel fills and the reader
+// blocks on it with one more batch in hand. The resumed HELLO_ACK's
+// LastSeq must cover that batch, so replaying every later sequence on the
+// new link emits each record exactly once.
+func TestResumeExactlyOnceUnderBackpressure(t *testing.T) {
+	m := newManager(t, Config{HeartbeatInterval: -1})
+	const session = 0x5EED
+	const total = 400
+
+	s := sensor.New(newTestRegion(), "bp", sensor.Options{})
+	payloads := make([][]byte, total+1) // payloads[i] carries value i
+	for i := 1; i <= total; i++ {
+		s.Notice2i(1, int32(i), 0)
+		s.Ring().Drain(1, func(b []byte) { payloads[i] = append([]byte(nil), b...) })
+	}
+
+	wc, _, closeFn := dialRaw(t, m, session, false)
+	defer closeFn()
+	m.sorterMu.Lock()
+	released := make(chan struct{})
+	go func() {
+		defer close(released)
+		deadline := time.Now().Add(10 * time.Second)
+		for len(m.merge) < cap(m.merge) && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(300 * time.Millisecond)
+		m.sorterMu.Unlock()
+	}()
+	for i := 1; i <= total; i++ {
+		if err := wc.Send(&wire.DataBatch{Seq: uint64(i), Count: 1, Payload: payloads[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitUntil(t, 10*time.Second, "merge channel full", func() bool { return len(m.merge) == cap(m.merge) })
+
+	// Resume while the old reader is parked; replay everything above the
+	// reported high-water mark, as a sensor's retransmit queue would.
+	wc2, ack, closeFn2 := dialRaw(t, m, session, true)
+	defer closeFn2()
+	if !ack.Resumed {
+		t.Fatalf("resume ack = %+v, want Resumed", ack)
+	}
+	for i := ack.LastSeq + 1; i <= total; i++ {
+		if err := wc2.Send(&wire.DataBatch{Seq: i, Count: 1, Payload: payloads[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-released
+
+	waitUntil(t, 10*time.Second, "all records emitted", func() bool { return m.Stats().Emitted >= total })
+	time.Sleep(20 * time.Millisecond) // a late duplicate would land within a few merge ticks
+	got := drainCursor(t, m, total+1, 100*time.Millisecond)
+	seen := make(map[int64]int)
+	for _, r := range got {
+		seen[r.Fields[1].Int()]++
+	}
+	for i := int64(1); i <= total; i++ {
+		if seen[i] != 1 {
+			t.Fatalf("record %d emitted %d times (resume LastSeq %d)", i, seen[i], ack.LastSeq)
+		}
+	}
+	if len(got) != total {
+		t.Fatalf("emitted %d records, want exactly %d", len(got), total)
+	}
+}
+
+// TestMalformedBatchAdvancesLastSeq sends a batch that does not decode on
+// a session link. The manager drops the link, but records the batch's
+// sequence first, so the resumed HELLO_ACK tells the sensor not to replay
+// the poison batch forever.
+func TestMalformedBatchAdvancesLastSeq(t *testing.T) {
+	m := newManager(t, Config{HeartbeatInterval: -1})
+	const session = 0xBAD
+	wc, _, closeFn := dialRaw(t, m, session, false)
+	defer closeFn()
+	if err := wc.Send(&wire.DataBatch{Seq: 1, Count: 1, Payload: newRecordBytes(t)}); err != nil {
+		t.Fatal(err)
+	}
+	if a := recvAck(t, wc); a.Seq != 1 {
+		t.Fatalf("ack seq = %d, want 1", a.Seq)
+	}
+	const bad = 2
+	if err := wc.Send(&wire.DataBatch{Seq: bad, Count: 1, Payload: []byte{0, 1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	dropped := make(chan struct{})
+	go func() {
+		defer close(dropped)
+		for {
+			if _, err := wc.Recv(); err != nil {
+				return
+			}
+		}
+	}()
+	select {
+	case <-dropped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("manager kept the link after a malformed batch")
+	}
+
+	_, ack, closeFn2 := dialRaw(t, m, session, true)
+	defer closeFn2()
+	if !ack.Resumed || ack.LastSeq < bad {
+		t.Fatalf("resume ack = %+v, want Resumed with LastSeq >= %d", ack, bad)
+	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // TestShardedPipelineEndToEnd runs the full pipeline — EXS nodes, wire
-// transport, parallel decode workers pushing into sorter shards, k-way
+// transport, parallel connection readers pushing into sorter shards, k-way
 // merge, sinks — with more sessions than shards and verifies nothing is
 // lost, duplicated or reordered per source.
 func TestShardedPipelineEndToEnd(t *testing.T) {
@@ -98,9 +98,9 @@ func TestShardBoundaryCREMatch(t *testing.T) {
 }
 
 // TestShardedCloseDrainsEverything: the ordered shutdown (readers →
-// decode workers → merger flush) must deliver every acked record with
-// shards > 1, where decode workers push into shards directly instead of
-// through the merge channel.
+// merger flush) must deliver every acked record with shards > 1, where
+// the readers push into shards directly instead of through the merge
+// channel.
 func TestShardedCloseDrainsEverything(t *testing.T) {
 	// Huge T: nothing ages out before Close's flush.
 	m := newManager(t, Config{OLSShards: 4, Sorter: ols.Config{InitialT: 60_000_000}})

@@ -15,7 +15,7 @@ import (
 
 // TestSoakEightSessionsWithFlaps is the parallel-ingest soak: eight
 // sessions stream concurrently through individual faultnet proxies whose
-// links flap mid-run, exercising eight decode workers, session resume and
+// links flap mid-run, exercising eight decoding readers, session resume and
 // retransmission all at once (run under -race via `make test-race`). The
 // manager's output must contain every record from every session exactly
 // once (multiset equality), per-session emission must preserve source

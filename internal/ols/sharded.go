@@ -143,9 +143,15 @@ func (sh *Sharded) PushMixed(recs []record.Record, now int64) {
 // order before an already-merged one must have been at least as aged at
 // the same instant, so it was extracted in the same or an earlier pass.
 //
-// The records passed to emit are valid only until the next Extract or
-// Flush call (their Fields live in merge staging reused per pass);
-// callers retaining them longer must record.Detach them.
+// How long the records passed to emit stay valid depends on the shard
+// count. With several shards their Fields live in merge staging reused
+// per pass, so they are valid until the next Extract or Flush call. With
+// one shard the call delegates to Sorter.Extract and the Fields alias
+// the shard's queue slots, so they are valid only until the next Push
+// into that shard — a caller that pushes from other goroutines must
+// keep those pushes off until it is done with the records (the manager
+// does so by pushing on its merger at one shard). Callers retaining
+// records longer must record.Detach them.
 func (sh *Sharded) Extract(now int64, emit func(record.Record)) int {
 	if len(sh.shards) == 1 {
 		shd := sh.shards[0]

@@ -65,7 +65,7 @@ func DecodeNodeAppend(dst []Record, payload []byte) ([]Record, error) {
 }
 
 // batchPool recycles record-batch slices between the manager's parallel
-// decode workers and its single merge goroutine.
+// connection readers and its single merge goroutine.
 var batchPool = sync.Pool{
 	New: func() any {
 		b := make([]Record, 0, 256)

@@ -144,24 +144,15 @@ type ManagerOptions struct {
 	OLSShards int
 	// Sync tunes the clock-synchronization master.
 	Sync SyncOptions
-	// CRETimeout bounds retention of unmatched causal records (µs).
-	CRETimeout int64
 	// MergeInterval is the merger wake period (default 5 ms) — the
 	// manager-side latency knob.
 	MergeInterval time.Duration
 	// BufferRecords is the consumer memory-buffer capacity (default
 	// 65536 records).
 	BufferRecords int
-	// DecodeQueueDepth is the per-session decode-worker queue depth in
-	// batches (default 4). Deeper queues absorb burstier sessions before
-	// TCP backpressure engages; each slot can pin one batch payload.
-	DecodeQueueDepth int
-	// SinkBatchRecords caps how many sorted records accumulate before the
-	// sinks are flushed mid-extraction (default 512). Larger batches
-	// amortize sink locking; smaller ones bound sink-visible latency.
-	SinkBatchRecords int
 	// HeartbeatInterval is the per-sensor PING period for dead-peer
-	// detection (default 1 s; negative disables).
+	// detection: a sensor silent for three intervals is disconnected
+	// (default 1 s; negative disables).
 	HeartbeatInterval time.Duration
 	// SessionRetention bounds how long a disconnected sensor's session
 	// (node id + dedupe state) is kept for resumption (default 2 min;
@@ -256,15 +247,12 @@ func StartManager(opts ManagerOptions) (*Manager, error) {
 			MaxBuffered: opts.Sorter.MaxBuffered,
 			SourceQuota: opts.Sorter.SourceQuota,
 		},
-		OLSShards:        opts.OLSShards,
-		AckHighWater:     opts.AckHighWater,
-		AckLowWater:      opts.AckLowWater,
-		MaxCreditWindow:  opts.MaxCreditWindow,
-		CRETimeout:       opts.CRETimeout,
-		MergeInterval:    opts.MergeInterval,
-		BufferRecords:    opts.BufferRecords,
-		DecodeQueueDepth: opts.DecodeQueueDepth,
-		SinkBatchRecords: opts.SinkBatchRecords,
+		OLSShards:       opts.OLSShards,
+		AckHighWater:    opts.AckHighWater,
+		AckLowWater:     opts.AckLowWater,
+		MaxCreditWindow: opts.MaxCreditWindow,
+		MergeInterval:   opts.MergeInterval,
+		BufferRecords:   opts.BufferRecords,
 		Sync: clocksync.Config{
 			ProbesPerSlave:   opts.Sync.ProbesPerSlave,
 			Threshold:        opts.Sync.Threshold,
